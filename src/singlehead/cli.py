@@ -42,13 +42,6 @@ class _UsageError(Exception):
     pass
 
 
-def _body_str(names) -> str:
-    ordered = sorted(names)
-    if all(len(n) == 1 for n in ordered):
-        return "".join(ordered)
-    return ",".join(ordered)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -60,8 +53,10 @@ def _build_parser() -> _Parser:
         description="Decide single-head equivalence of definite Horn "
                     "formulas, rebuild the single-head form, and forget "
                     "variables.")
-    parser.add_argument("-f", "--formula", nargs="+", metavar="ITEM",
-                        help="inline formula items like ab->cd or df=gh")
+    parser.add_argument("-f", "--formula", nargs="+", action="extend",
+                        metavar="ITEM",
+                        help="inline formula items like ab->cd or df=gh "
+                             "(repeatable)")
     parser.add_argument("-t", "--testfile", nargs="+", metavar="PATH",
                         help="corpus file, or directory of .txt files")
     parser.add_argument("--forget", metavar="VARS",
@@ -92,11 +87,17 @@ def _options(args) -> Options:
 
 def _run_one(source: str, case: Optional[CorpusCase], formula: Formula,
              args, options: Options) -> dict:
+    universe = formula.universe
+    dropped = parse_variables(args.forget) if args.forget else []
+    unknown = [n for n in dropped if n not in universe]
+    if unknown:
+        raise _UsageError(f"--forget names variables not in {source}: "
+                          f"{','.join(unknown)}")
     outcome = reconstruct(formula, options)
     report = outcome.report
     result = {
         "source": source,
-        "variables": list(formula.universe.names),
+        "variables": list(universe.names),
         "formula": formula_items(formula),
         "verdict": outcome.verdict,
         "iterations": len(report.iterations),
@@ -113,12 +114,12 @@ def _run_one(source: str, case: Optional[CorpusCase], formula: Formula,
     }
     if isinstance(outcome, Success):
         result["output"] = formula_items(outcome.formula)
-    elif isinstance(outcome, NotSingleHead):
-        result["failing_body"] = _body_str(outcome.body)
-        result["failure_reason"] = outcome.reason
     else:
-        result["failing_body"] = _body_str(outcome.body)
-        result["failure_reason"] = f"candidate budget {outcome.budget}"
+        failing = universe.mask(outcome.body)
+        result["failing_body"] = universe.body_text(failing)
+        result["failure_reason"] = (
+            outcome.reason if isinstance(outcome, NotSingleHead)
+            else f"candidate budget {outcome.budget}")
     if case and case.expect and outcome.verdict != "inconclusive":
         result["expectation_met"] = outcome.verdict == case.expect
     if args.oracle:
@@ -129,21 +130,21 @@ def _run_one(source: str, case: Optional[CorpusCase], formula: Formula,
         if outcome.verdict != "inconclusive":
             agrees = oracle_verdict == outcome.verdict
         result["oracle"] = {"verdict": oracle_verdict, "agrees": agrees}
-    if args.forget and isinstance(outcome, Success):
-        dropped = parse_variables(args.forget)
-        keep = [n for n in formula.universe.names if n not in dropped]
+    if dropped and isinstance(outcome, Success):
+        keep = [n for n in universe.names if n not in dropped]
         forgotten = forget_single_head(outcome.formula, keep)
         result["forget"] = {"kept": keep, "output": formula_items(forgotten)}
     if args.trace:
         result["trace"] = [
             {
-                "body": _body_str(t.body),
-                "heads": _body_str(t.heads),
+                "body": universe.body_text(t.body),
+                "heads": universe.body_text(t.heads),
                 "pool_size": t.pool_size,
                 "reduced_size": t.reduced_size,
                 "candidates_tested": t.candidates_tested,
                 "filter_hits": t.filter_hits,
-                "accepted": t.accepted,
+                "accepted": None if t.accepted is None
+                else [universe.clause_text(c) for c in t.accepted],
             }
             for t in report.iterations
         ]
@@ -197,7 +198,10 @@ def run_cli(argv: Optional[Sequence[str]] = None,
         if args.formula:
             jobs.append(("inline", None, parse_formula(args.formula)))
         for path in args.testfile or []:
-            for filename in corpus_paths(path):
+            filenames = corpus_paths(path)
+            if not filenames:
+                raise _UsageError(f"no .txt files in {path}")
+            for filename in filenames:
                 case = load_corpus_file(filename)
                 jobs.append((filename, case, case.formula()))
         results = [_run_one(source, case, formula, args, options)

@@ -82,10 +82,6 @@ def hclose(heads: Iterable[str], f: Formula) -> tuple[Clause, ...]:
     return tuple(sorted(result, key=clause_key))
 
 
-def _bodies_entailing(seed: int, context: Sequence[Clause], nvars: int) -> int:
-    return propagate(context, nvars, seed)[0]
-
-
 def _minbodies(candidates: Iterable[Clause], context: Sequence[Clause],
                nvars: int) -> frozenset[Clause]:
     """Reduce candidates: per head, keep one representative per sink class
@@ -102,7 +98,7 @@ def _minbodies(candidates: Iterable[Clause], context: Sequence[Clause],
             by_head[c.head].append(c.body)
     kept: set[Clause] = set()
     for head, bodies in by_head.items():
-        reach = {b: _bodies_entailing(b, context, nvars) for b in bodies}
+        reach = {b: propagate(context, nvars, b)[0] for b in bodies}
         entails = {b: {o for o in bodies if not o & ~reach[b]} for b in bodies}
         # mutual entailment classes; the preorder is already transitive
         classes: list[list[int]] = []

@@ -12,28 +12,23 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .formula import Clause, Formula, Universe, is_single_head, normalize
+from .formula import (Clause, Formula, Universe, bit_ids, is_single_head,
+                      normalize)
 
 
-def _rebuild(f: Formula, keep_ids: list[int]) -> Formula:
+def _rebuild(f: Formula, keep_mask: int) -> Formula:
     """Re-intern the surviving clauses over the kept names only."""
     old = f.universe
-    kept_names = [old.names[i] for i in keep_ids]
-    new = Universe(kept_names)
+    keep_ids = bit_ids(keep_mask)
+    new = Universe(old.names[i] for i in keep_ids)
     remap = {i: new.id(old.names[i]) for i in keep_ids}
     clauses = []
     for c in f.clauses:
         body = 0
-        for old_id in keep_ids:
-            if c.body >> old_id & 1:
-                body |= 1 << remap[old_id]
+        for old_id in bit_ids(c.body & keep_mask):
+            body |= 1 << remap[old_id]
         clauses.append(Clause(remap[c.head], body))
     return Formula(new, clauses)
-
-
-def _keep_ids(f: Formula, keep: Iterable[str]) -> list[int]:
-    ids = sorted(f.universe.id(name) for name in set(keep))
-    return ids
 
 
 def forget_single_head(f: Formula, keep: Iterable[str]) -> Formula:
@@ -48,10 +43,7 @@ def forget_single_head(f: Formula, keep: Iterable[str]) -> Formula:
     f = normalize(f)
     if not is_single_head(f):
         raise ValueError("input is not single-head")
-    keep_ids = _keep_ids(f, keep)
-    keep_mask = 0
-    for i in keep_ids:
-        keep_mask |= 1 << i
+    keep_mask = f.universe.mask(keep)
     clauses = list(f.clauses)
     for v in range(len(f.universe)):
         if keep_mask >> v & 1:
@@ -70,7 +62,7 @@ def forget_single_head(f: Formula, keep: Iterable[str]) -> Formula:
             if not c.is_tautology():
                 replaced.append(c)
         clauses = replaced
-    return _rebuild(Formula(f.universe, clauses), keep_ids)
+    return _rebuild(Formula(f.universe, clauses), keep_mask)
 
 
 def forget_by_resolution(f: Formula, keep: Iterable[str]) -> Formula:
@@ -81,10 +73,7 @@ def forget_by_resolution(f: Formula, keep: Iterable[str]) -> Formula:
     it is removed.  May blow up on general input; meant for small formulas.
     """
     f = normalize(f)
-    keep_ids = _keep_ids(f, keep)
-    keep_mask = 0
-    for i in keep_ids:
-        keep_mask |= 1 << i
+    keep_mask = f.universe.mask(keep)
     clauses = set(f.clauses)
     for v in range(len(f.universe)):
         if keep_mask >> v & 1:
@@ -100,4 +89,4 @@ def forget_by_resolution(f: Formula, keep: Iterable[str]) -> Formula:
                     resolvents.add(r)
         clauses = {c for c in clauses
                    if c.head != v and not c.body & vbit} | resolvents
-    return _rebuild(Formula(f.universe, clauses), keep_ids)
+    return _rebuild(Formula(f.universe, clauses), keep_mask)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .closure import _hclose, _minbodies
 from .formula import (BodyAnalysis, Clause, Formula, analyze_body, bit_ids,
-                      clause_key, normalize, propagate)
+                      normalize, propagate)
 
 FILTER_NAMES = ("body_coverage", "head_reachability", "consequence_equality")
 
@@ -49,16 +49,18 @@ class Options:
 
 @dataclass
 class IterationTrace:
-    body: frozenset[str]
-    heads: frozenset[str]
+    """One iteration of the search; bodies and heads are masks over the
+    formula's universe, and `target` is the input-side closure that
+    acceptance compares against."""
+
+    body: int
+    heads: int
     pool_size: int
     reduced_size: int
     candidates_tested: int
     filter_hits: dict[str, int]
-    accepted: Optional[list[str]]
-    target: tuple[Clause, ...] = ()
-    accepted_clauses: tuple[Clause, ...] = ()
-    body_mask: int = 0
+    accepted: Optional[tuple[Clause, ...]]
+    target: frozenset[Clause]
 
 
 @dataclass
@@ -306,30 +308,23 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
                   ) -> tuple[Optional[tuple[Clause, ...]], IterationTrace,
                              Optional[str]]:
     """Search this body's candidates; returns (accepted, trace, failure)."""
-    universe = state.formula.universe
     analysis = state.analyses[body]
     heads = compute_heads(state, body)
-    pool = _hclose(heads, analysis.ucl)
+    pool, reduced = candidate_space(state, body, options.minbodies)
     rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
     target = pool | rest
-    if options.minbodies:
-        context = tuple(c for c in analysis.ucl if c in state.used)
-        reduced = _minbodies(pool, context, state.nvars)
-    else:
-        reduced = pool
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
 
     hits = dict.fromkeys(FILTER_NAMES, 0)
     trace = IterationTrace(
-        body=universe.names_of(body),
-        heads=universe.names_of(heads),
+        body=body,
+        heads=heads,
         pool_size=len(pool),
         reduced_size=len(reduced),
         candidates_tested=0,
         filter_hits=hits,
         accepted=None,
-        target=tuple(sorted(target, key=clause_key)),
-        body_mask=body,
+        target=target,
     )
 
     if options.body_coverage and not filter_body_coverage(state, body, pool,
@@ -356,8 +351,7 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
             hits["consequence_equality"] += 1
             continue
         if check_accept(state, body, with_candidate, target):
-            trace.accepted = [universe.clause_text(c) for c in candidate]
-            trace.accepted_clauses = candidate
+            trace.accepted = candidate
             return candidate, trace, None
     return None, trace, _EXHAUSTED
 
@@ -383,6 +377,6 @@ def reconstruct(f: Formula, options: Optional[Options] = None) -> Outcome:
                                 options.budget, report)
         if accepted is None:
             return NotSingleHead(state.formula.universe.names_of(body),
-                                 failure or _EXHAUSTED, report)
+                                 failure, report)
         apply_iteration(state, body, accepted)
     return Success(state.g_formula(), report)

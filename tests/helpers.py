@@ -64,13 +64,6 @@ def projected_models(f: Formula, keep_names) -> set[frozenset[str]]:
     return out
 
 
-def bodies_product(per_head_sizes) -> int:
-    total = 1
-    for size in per_head_sizes:
-        total *= size
-    return total
-
-
 def all_keep_sets(names):
     for r in range(len(names) + 1):
         yield from itertools.combinations(names, r)

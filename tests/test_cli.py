@@ -53,6 +53,19 @@ class TestExitCodes:
         code, _, _ = run(["-t", "/nonexistent/corpus.txt"])
         assert code == 64
 
+    def test_directory_without_corpus_files_sixty_four(self, tmp_path):
+        (tmp_path / "notes.md").write_text("a->b\n")
+        code, out, err = run(["-t", str(tmp_path)])
+        assert code == 64
+        assert "no .txt files" in err
+        assert out == ""
+
+    def test_forget_unknown_variable_sixty_four(self):
+        code, out, err = run(["-f", "a->b", "b->c", "--forget", "z"])
+        assert code == 64
+        assert "z" in err
+        assert out == ""
+
     def test_expect_mismatch_seventy(self, tmp_path):
         lying = tmp_path / "lying.txt"
         lying.write_text("a->c\nb->c\n% expect: single-head\n")
@@ -96,6 +109,27 @@ class TestJson:
         assert result["failure_reason"]
         assert result["expectation_met"] is True
 
+    def test_mixed_length_names_render_alike(self):
+        # single-letter bodies in a universe with longer names are rendered
+        # with commas, in the trace as in the output
+        _, out, _ = run(["--json", "--trace", "-f", "a,b->foo", "a,b->x",
+                         "x,->a", "x,->b", "foo,->a", "foo,->b"])
+        result = json.loads(out)["results"][0]
+        assert result["verdict"] == "single-head"
+        first = result["trace"][0]
+        assert first["body"] == "a,b"
+        assert first["heads"] == "a,b,foo,x"
+        assert "a,b->x" in first["accepted"]
+        assert first["accepted"] == result["output"]
+
+    def test_mixed_length_failing_body(self):
+        _, out, _ = run(["--json", "--trace",
+                         "-f", "a,b->c", "d,e->c", "foo,->a"])
+        result = json.loads(out)["results"][0]
+        assert result["verdict"] == "not-single-head"
+        assert result["failing_body"] == result["trace"][-1]["body"]
+        assert "," in result["failing_body"]
+
     def test_counters_present(self):
         _, out, _ = run(["--json", "--no-filter", "1",
                          "-t", corpus("disjointemptynotsingle.txt")])
@@ -109,6 +143,11 @@ class TestModes:
                             "--forget", "c"])
         assert code == 0
         assert "a->b b->d" in out
+
+    def test_repeated_formula_flag_extends(self):
+        code, out, _ = run(["--json", "-f", "a->b", "-f", "b->c"])
+        assert code == 0
+        assert json.loads(out)["results"][0]["formula"] == ["a->b", "b->c"]
 
     def test_trace_lines(self):
         code, out, _ = run(["--trace", "-t", corpus("twobodies.txt")])

@@ -303,13 +303,13 @@ class TestReconstruct:
             traces = out.report.iterations
             n = len(f.universe)
             for k in range(1, len(traces)):
-                later = traces[k].body_mask
+                later = traces[k].body
                 partial = []
                 for earlier in traces[:k]:
-                    partial.extend(earlier.accepted_clauses)
+                    partial.extend(earlier.accepted)
                 g = Formula(f.universe, partial)
                 for earlier in traces[:k]:
-                    if not body_lt(f, f.universe.names_of(earlier.body_mask),
+                    if not body_lt(f, f.universe.names_of(earlier.body),
                                    f.universe.names_of(later)):
                         continue
                     for c in earlier.target:
