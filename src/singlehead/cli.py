@@ -2,10 +2,12 @@
 
 Parses inline items or corpus files, runs reconstruction (and optionally
 forgetting and the brute-force cross-check), and prints human-readable or
-JSON results.  Exit status: 0 every input single-head equivalent, 1 some
-input is not, 2 some run was inconclusive under the candidate budget,
-64 usage or parse error, 70 a verdict contradicted an ``% expect``
-directive or the brute-force oracle.
+JSON results.  An input that cannot be read, parsed or cross-checked is
+reported on stderr and the other inputs still run.  Exit status: 0 every
+input single-head equivalent, 1 some input is not, 2 some run was
+inconclusive under the candidate budget, 64 usage error or some input
+failed, 70 a verdict contradicted an ``% expect`` directive or the
+brute-force oracle.
 """
 
 from __future__ import annotations
@@ -194,23 +196,27 @@ def run_cli(argv: Optional[Sequence[str]] = None,
         if args.budget is not None and args.budget < 1:
             raise _UsageError("--budget must be at least 1")
         options = _options(args)
-        jobs: list[tuple[str, Optional[CorpusCase], Formula]] = []
-        if args.formula:
-            jobs.append(("inline", None, parse_formula(args.formula)))
+        files: list[Optional[str]] = [None] if args.formula else []
         for path in args.testfile or []:
             filenames = corpus_paths(path)
             if not filenames:
                 raise _UsageError(f"no .txt files in {path}")
-            for filename in filenames:
-                case = load_corpus_file(filename)
-                jobs.append((filename, case, case.formula()))
-        results = [_run_one(source, case, formula, args, options)
-                   for source, case, formula in jobs]
+            files.extend(filenames)
+        results = []
+        input_errors = False
+        for filename in files:
+            source = "inline" if filename is None else filename
+            try:
+                case = None if filename is None else load_corpus_file(filename)
+                formula = parse_formula(args.formula) if case is None \
+                    else case.formula()
+                results.append(_run_one(source, case, formula, args, options))
+            except (ParseError, UniverseTooLarge, OSError,
+                    UnicodeDecodeError) as exc:
+                print(f"error: {source}: {exc}", file=err)
+                input_errors = True
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
-        return EXIT_USAGE
-    except (ParseError, UniverseTooLarge, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
     if args.json:
@@ -220,6 +226,8 @@ def run_cli(argv: Optional[Sequence[str]] = None,
         for result in results:
             _print_human(result, out)
 
+    if input_errors:
+        return EXIT_USAGE
     mismatch = any(r["expectation_met"] is False for r in results)
     mismatch |= any(r["oracle"] and r["oracle"]["agrees"] is False
                     for r in results)

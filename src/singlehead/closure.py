@@ -84,36 +84,27 @@ def hclose(heads: Iterable[str], f: Formula) -> tuple[Clause, ...]:
 
 def _minbodies(candidates: Iterable[Clause], context: Sequence[Clause],
                nvars: int) -> frozenset[Clause]:
-    """Reduce candidates: per head, keep one representative per sink class
-    of the "body plus context entails body" preorder.
+    """Reduce candidates: per head, keep the canonical-first body of each
+    sink class of the "body plus context entails body" preorder.
 
     Every dropped clause has a kept same-head clause whose body its own
     body entails under the context, which is what correctness of the
     candidate search needs.  The identity reduction is always sound; this
     one just shrinks the search space further.
     """
-    by_head: dict[int, list[int]] = defaultdict(list)
+    by_head: dict[int, set[int]] = defaultdict(set)
     for c in candidates:
-        if c.body not in by_head[c.head]:
-            by_head[c.head].append(c.body)
+        by_head[c.head].add(c.body)
     kept: set[Clause] = set()
     for head, bodies in by_head.items():
         reach = {b: propagate(context, nvars, b)[0] for b in bodies}
-        entails = {b: {o for o in bodies if not o & ~reach[b]} for b in bodies}
-        # mutual entailment classes; the preorder is already transitive
-        classes: list[list[int]] = []
-        assigned: dict[int, int] = {}
-        for b in sorted(bodies, key=bit_ids):
-            if b in assigned:
-                continue
-            cls = [o for o in bodies if o in entails[b] and b in entails[o]]
-            for o in cls:
-                assigned[o] = len(classes)
-            classes.append(sorted(cls, key=bit_ids))
-        for cls in classes:
-            outgoing = any(o not in cls for b in cls for o in entails[b])
-            if not outgoing:
-                kept.add(Clause(head, cls[0]))
+        for b in bodies:
+            # the preorder is transitive: when all the bodies b entails
+            # entail b back, they are b's sink class
+            entailed = [o for o in bodies if not o & ~reach[b]]
+            if all(not b & ~reach[o] for o in entailed) \
+                    and min(entailed, key=bit_ids) == b:
+                kept.add(Clause(head, b))
     return frozenset(kept)
 
 

@@ -108,10 +108,6 @@ class Universe:
     def names_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.names[i] for i in bit_ids(mask))
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.names)) - 1
-
     def body_text(self, mask: int) -> str:
         names = [self.names[i] for i in bit_ids(mask)]
         if all(len(n) == 1 for n in self.names):

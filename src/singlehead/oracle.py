@@ -13,7 +13,7 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from .formula import (Clause, Formula, Universe, all_bodies, bit_ids,
+from .formula import (Clause, Formula, Universe, all_bodies, clause_key,
                       closure_mask, letters, propagate)
 
 
@@ -83,7 +83,7 @@ def clause_pool(nvars: int, max_body: int) -> list[Clause]:
         for body in all_bodies(nvars, without=head, max_size=max_body,
                                min_size=1):
             pool.append(Clause(head, body))
-    pool.sort(key=lambda c: (c.head, bit_ids(c.body)))
+    pool.sort(key=clause_key)
     return pool
 
 

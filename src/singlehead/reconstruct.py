@@ -50,8 +50,7 @@ class Options:
 @dataclass
 class IterationTrace:
     """One iteration of the search; bodies and heads are masks over the
-    formula's universe, and `target` is the input-side closure that
-    acceptance compares against."""
+    formula's universe."""
 
     body: int
     heads: int
@@ -60,7 +59,6 @@ class IterationTrace:
     candidates_tested: int
     filter_hits: dict[str, int]
     accepted: Optional[tuple[Clause, ...]]
-    target: frozenset[Clause]
 
 
 @dataclass
@@ -148,20 +146,16 @@ def new_state(f: Formula) -> ReconstructionState:
 
 
 def choose_minimal_body(state: ReconstructionState) -> int:
-    """A pending body no other pending body lies strictly below.
+    """The first pending body, in canonical order, that no other pending
+    body lies strictly below.
 
-    a lies below b when b's closure covers a; ties are broken by canonical
-    body order, so runs are reproducible.
+    a lies below b when b's closure covers a, which holds exactly when
+    a's closure is a subset of b's.
     """
-    analyses = state.analyses
-
-    def below(a: int, b: int) -> bool:
-        return not a & ~analyses[b].bcn_mask
-
-    for candidate in state.agenda:
-        if not any(below(other, candidate) and not below(candidate, other)
-                   for other in state.agenda if other != candidate):
-            return candidate
+    closures = [state.analyses[p].bcn_mask for p in state.agenda]
+    for body, bcn in zip(state.agenda, closures):
+        if not any(other != bcn and not other & ~bcn for other in closures):
+            return body
     raise AssertionError("agenda has no minimal body")
 
 
@@ -185,10 +179,11 @@ def candidate_space(state: ReconstructionState, body: int,
     return pool, _minbodies(pool, context, state.nvars)
 
 
-def enumerate_candidates(heads: int, reduced: Iterable[Clause],
+def enumerate_candidates(heads: int, pool_bodies: Sequence[int],
                          exclude_tautological: bool = True
                          ) -> Iterator[tuple[Clause, ...]]:
-    """Assignments of one pool body to every head, canonical order.
+    """Assignments of one pool body to every head, canonical order when
+    `pool_bodies` is in canonical body order.
 
     By default a head is never paired with a body containing it; with
     `exclude_tautological` off the full Cartesian product over the pool is
@@ -196,16 +191,12 @@ def enumerate_candidates(heads: int, reduced: Iterable[Clause],
     check.
     """
     head_ids = bit_ids(heads)
-    pool = sorted({c.body for c in reduced}, key=bit_ids)
-    if not head_ids:
-        yield ()
-        return
     per_head = []
     for h in head_ids:
         if exclude_tautological:
-            per_head.append([b for b in pool if not b >> h & 1])
+            per_head.append([b for b in pool_bodies if not b >> h & 1])
         else:
-            per_head.append(pool)
+            per_head.append(pool_bodies)
     for combo in itertools.product(*per_head):
         yield tuple(Clause(h, b) for h, b in zip(head_ids, combo))
 
@@ -217,24 +208,20 @@ def _body_vars(clauses: Iterable[Clause]) -> int:
     return mask
 
 
-def filter_body_coverage(state: ReconstructionState, body: int,
-                         pool: frozenset[Clause],
-                         rest_closure: frozenset[Clause],
-                         candidate: Optional[Sequence[Clause]] = None) -> bool:
-    """Necessary condition on body variables.
+def filter_body_coverage(need: int,
+                         candidate: Sequence[Clause] = ()) -> bool:
+    """Necessary condition on body variables: the candidate bodies supply
+    every variable in `need`.
 
     The minimal consequences of this body can only be rebuilt from body
     variables that appear in the formula under construction or in the
-    candidate clauses.  Without a candidate: variables needed for
-    already-headed consequences must all be available before any candidate
-    is tried.  With one: the candidate bodies must supply every variable
-    the pool requires.
+    candidate clauses.  Before the search no candidate is passed, and
+    `need` holds the body variables of already-headed consequences that lie
+    in neither the formula under construction nor any pool body, so that
+    no candidate can supply them.  Per candidate, `need` holds the pool's
+    body variables missing from the formula under construction.
     """
-    in_bodies = _body_vars(pool) & ~state.g_body_vars
-    headless = _body_vars(rest_closure) & ~state.g_body_vars & ~in_bodies
-    if candidate is None:
-        return not headless
-    return not (in_bodies | headless) & ~_body_vars(candidate)
+    return not need & ~_body_vars(candidate)
 
 
 def filter_maxit(state: ReconstructionState, body: int, heads: int) -> bool:
@@ -274,10 +261,10 @@ def check_accept(state: ReconstructionState, body: int,
     The candidate is accepted when the formula under construction plus the
     candidate has, from this body, the same derived variables, and the same
     body-minimal consequences over them, as the input formula.  `target` is
-    that closure on the input side, computed once per iteration.
+    that closure on the input side, computed once per iteration.  Clauses
+    never repeat: the candidate has one per head, none headed in `g`.
     """
-    clauses = tuple(dict.fromkeys(c for c in with_candidate
-                                  if not c.is_tautology()))
+    clauses = tuple(c for c in with_candidate if not c.is_tautology())
     _, fired, fired_at = propagate(clauses, state.nvars, body)
     if fired != state.analyses[body].rcn_mask:
         return False
@@ -295,9 +282,8 @@ def apply_iteration(state: ReconstructionState, body: int,
         state.g_heads |= 1 << c.head
         state.g_body_vars |= c.body
     state.used.update(analysis.ucl)
-    bcn = analysis.bcn_mask
     state.agenda = [p for p in state.agenda
-                    if p & ~bcn or body & ~state.analyses[p].bcn_mask]
+                    if state.analyses[p].bcn_mask != analysis.bcn_mask]
 
 
 _EXHAUSTED = "exhausted"
@@ -305,15 +291,17 @@ _BUDGET = "budget"
 
 
 def run_iteration(state: ReconstructionState, body: int, options: Options
-                  ) -> tuple[Optional[tuple[Clause, ...]], IterationTrace,
-                             Optional[str]]:
-    """Search this body's candidates; returns (accepted, trace, failure)."""
+                  ) -> tuple[IterationTrace, Optional[str]]:
+    """Search this body's candidates; returns (trace, failure), with the
+    accepted candidate, if any, in `trace.accepted`."""
     analysis = state.analyses[body]
     heads = compute_heads(state, body)
     pool, reduced = candidate_space(state, body, options.minbodies)
     rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
     target = pool | rest
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
+    free = ~state.g_body_vars
+    need = _body_vars(pool) & free
 
     hits = dict.fromkeys(FILTER_NAMES, 0)
     trace = IterationTrace(
@@ -324,25 +312,24 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
         candidates_tested=0,
         filter_hits=hits,
         accepted=None,
-        target=target,
     )
 
-    if options.body_coverage and not filter_body_coverage(state, body, pool,
-                                                          rest):
+    if options.body_coverage and not filter_body_coverage(
+            _body_vars(rest) & free & ~need):
         hits["body_coverage"] += 1
-        return None, trace, "body_coverage"
+        return trace, "body_coverage"
     if options.head_reachability and not filter_maxit(state, body, heads):
         hits["head_reachability"] += 1
-        return None, trace, "head_reachability"
+        return trace, "head_reachability"
 
     for candidate in enumerate_candidates(
-            heads, reduced, exclude_tautological=options.body_coverage):
+            heads, pool_bodies, exclude_tautological=options.body_coverage):
         if options.budget is not None \
                 and trace.candidates_tested >= options.budget:
-            return None, trace, _BUDGET
+            return trace, _BUDGET
         trace.candidates_tested += 1
-        if options.body_coverage and not filter_body_coverage(
-                state, body, pool, rest, candidate):
+        if options.body_coverage and not filter_body_coverage(need,
+                                                              candidate):
             hits["body_coverage"] += 1
             continue
         with_candidate = state.g + list(candidate)
@@ -352,8 +339,8 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
             continue
         if check_accept(state, body, with_candidate, target):
             trace.accepted = candidate
-            return candidate, trace, None
-    return None, trace, _EXHAUSTED
+            return trace, None
+    return trace, _EXHAUSTED
 
 
 def reconstruct(f: Formula, options: Optional[Options] = None) -> Outcome:
@@ -369,14 +356,14 @@ def reconstruct(f: Formula, options: Optional[Options] = None) -> Outcome:
     report = RunReport()
     while state.agenda:
         body = choose_minimal_body(state)
-        accepted, trace, failure = run_iteration(state, body, options)
+        trace, failure = run_iteration(state, body, options)
         report.iterations.append(trace)
         if failure == _BUDGET:
             assert options.budget is not None
             return Inconclusive(state.formula.universe.names_of(body),
                                 options.budget, report)
-        if accepted is None:
+        if trace.accepted is None:
             return NotSingleHead(state.formula.universe.names_of(body),
                                  failure, report)
-        apply_iteration(state, body, accepted)
+        apply_iteration(state, body, trace.accepted)
     return Success(state.g_formula(), report)

@@ -44,6 +44,24 @@ def brute_hclose(heads_mask: int, f: Formula) -> tuple[Clause, ...]:
     return minimal_clauses(found)
 
 
+def naive_minbodies(candidates, context: Formula) -> set[Clause]:
+    """Per head, the canonical-first body of every sink class of the "body
+    plus context entails body" preorder, with classes built explicitly."""
+    kept = set()
+    for head in {c.head for c in candidates}:
+        bodies = sorted({c.body for c in candidates if c.head == head},
+                        key=bit_ids)
+        entails = {(a, b) for a in bodies for b in bodies
+                   if not b & ~naive_bcn(context, a)}
+        classes = {frozenset(o for o in bodies
+                             if (b, o) in entails and (o, b) in entails)
+                   for b in bodies}
+        for cls in classes:
+            if all(o in cls for (a, o) in entails if a in cls):
+                kept.add(Clause(head, min(cls, key=bit_ids)))
+    return kept
+
+
 def model_masks(f: Formula) -> set[int]:
     """All satisfying truth assignments, as variable masks."""
     n = len(f.universe)

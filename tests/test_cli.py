@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import shutil
 
 import pytest
 
 from singlehead.cli import run_cli
+from singlehead.corpus import load_corpus_file
 from singlehead.formula import Universe, parse_formula
 
 
@@ -82,6 +84,41 @@ class TestExitCodes:
         code, _, err = run(["--oracle", "-f", "a->b", "c->d", "e->f"])
         assert code == 64
         assert "guard" in err
+
+    def test_bad_file_reported_and_others_run(self, tmp_path):
+        shutil.copy(corpus("intro.txt"), tmp_path / "intro.txt")
+        (tmp_path / "broken.txt").write_text("ab->\n")
+        (tmp_path / "latin1.txt").write_bytes(b"a->b\n\xe9->c\n")
+        (tmp_path / "folder.txt").mkdir()
+        code, out, err = run(["-t", str(tmp_path)])
+        assert code == 64
+        assert out.startswith(f"{tmp_path / 'intro.txt'}: single-head")
+        assert f"error: {tmp_path / 'broken.txt'}: " in err
+        assert "empty head" in err
+        for name in ("latin1.txt", "folder.txt"):
+            assert f"error: {tmp_path / name}: " in err
+        code, out, err = run(["--json", "-t", str(tmp_path)])
+        assert code == 64
+        results = json.loads(out)["results"]
+        assert [r["verdict"] for r in results] == ["single-head"]
+        assert err.count("error: ") == 3
+
+    def test_oracle_guard_per_input(self, corpus_dir):
+        code, out, err = run(["--oracle", "-t", corpus_dir])
+        assert code == 64
+        small, large = [], []
+        for name in sorted(os.listdir(corpus_dir)):
+            if name.endswith(".txt"):
+                path = os.path.join(corpus_dir, name)
+                n = len(load_corpus_file(path).formula().universe)
+                (small if n <= 5 else large).append(path)
+        assert small and large
+        for path in small:
+            assert f"{path}: " in out and f"{path}: " not in err
+        for path in large:
+            assert f"error: {path}: " in err and f"{path}: " not in out
+        assert out.count("oracle:") == len(small)
+        assert "DISAGREES" not in out
 
 
 class TestJson:

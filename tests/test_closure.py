@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import brute_hclose, naive_bcn
+from helpers import brute_hclose, naive_bcn, naive_minbodies
 
 from singlehead.closure import (_hclose, hclose, minbodies, minimal_clauses,
                                 resolve_on_head)
@@ -151,3 +151,23 @@ class TestMinbodies:
                 witnesses = [r for r in reduced if r.head == c.head
                              and not r.body & ~naive_bcn(ctx, c.body)]
                 assert witnesses, (f.clause_texts(), c)
+
+    def test_keeps_canonical_first_of_equivalent_bodies(self):
+        u = Universe("abx")
+        candidates = [cl(u, "b", "x"), cl(u, "a", "x")]
+        context = [cl(u, "a", "b"), cl(u, "b", "a")]
+        assert minbodies(candidates, context, len(u)) == (cl(u, "a", "x"),)
+
+    def test_kept_set_matches_sink_class_reference(self):
+        dropped = 0
+        for seed, every in ((112, 2), (113, 1)):
+            for f in sample_formulas(5, 80, 6, 3, seed=seed):
+                n = len(f.universe)
+                context = f.clauses[::every]
+                candidates = _hclose((1 << n) - 1, f.clauses)
+                reduced = set(minbodies(candidates, context, n))
+                assert reduced == naive_minbodies(
+                    candidates, Formula(f.universe, context)), \
+                    f.clause_texts()
+                dropped += len(candidates) - len(reduced)
+        assert dropped > 100

@@ -3,11 +3,13 @@ import pytest
 from helpers import naive_bcn
 
 from singlehead.closure import _hclose
-from singlehead.formula import (Clause, Formula, bit_ids, body_lt,
-                                is_single_head, parse_formula)
+from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
+                                body_equiv, body_lt, is_single_head,
+                                parse_formula)
 from singlehead.oracle import formulas_equivalent, sample_formulas
 from singlehead.reconstruct import (Inconclusive, NotSingleHead, Options,
-                                    Success, apply_iteration, candidate_space,
+                                    Success, _body_vars, apply_iteration,
+                                    candidate_space,
                                     check_accept, choose_minimal_body,
                                     compute_heads, enumerate_candidates,
                                     filter_body_coverage, filter_maxit,
@@ -24,9 +26,9 @@ def advance(f, steps, options=Options()):
     state = new_state(f)
     for _ in range(steps):
         body = choose_minimal_body(state)
-        accepted, _, failure = run_iteration(state, body, options)
+        trace, failure = run_iteration(state, body, options)
         assert failure is None, failure
-        apply_iteration(state, body, accepted)
+        apply_iteration(state, body, trace.accepted)
     return state
 
 
@@ -59,6 +61,35 @@ class TestChooseMinimalBody:
         f = parse_formula(["a->c", "b->c"])
         state = new_state(f)
         assert choose_minimal_body(state) == f.universe.mask("a")
+
+
+class TestBodyOrder:
+    def test_choice_and_retirement_match_name_level_order(self):
+        # chosen: the canonically first pending body with no pending body
+        # strictly below it; retired: exactly the pending bodies equivalent
+        # to it
+        steps = 0
+        for n in (4, 5, 6):
+            for f in sample_formulas(n, 60, n + 2, 3, seed=1200 + n):
+                state = new_state(f)
+                names = f.universe.names_of
+                while state.agenda:
+                    pending = sorted(state.agenda, key=bit_ids)
+                    body = choose_minimal_body(state)
+                    expected = next(
+                        p for p in pending
+                        if not any(body_lt(f, names(o), names(p))
+                                   for o in pending))
+                    assert body == expected, f.clause_texts()
+                    trace, failure = run_iteration(state, body, Options())
+                    if failure is not None:
+                        break
+                    apply_iteration(state, body, trace.accepted)
+                    retired = set(pending) - set(state.agenda)
+                    assert retired == {p for p in pending if body_equiv(
+                        f, names(p), names(body))}, f.clause_texts()
+                    steps += 1
+        assert steps > 300
 
 
 class TestComputeHeads:
@@ -108,8 +139,7 @@ class TestEnumerateCandidates:
 
     def test_two_heads_two_bodies(self):
         heads = self.u.mask("xy")
-        pool = [Clause(self.u.id("x"), self.u.mask("a")),
-                Clause(self.u.id("y"), self.u.mask("b"))]
+        pool = [self.u.mask("a"), self.u.mask("b")]
         combos = list(enumerate_candidates(heads, pool))
         assert len(combos) == 4
         assert all(len(c) == 2 for c in combos)
@@ -119,8 +149,7 @@ class TestEnumerateCandidates:
 
     def test_tautological_pairings_excluded_by_default(self):
         heads = self.u.mask("ax")
-        pool = [Clause(self.u.id("x"), self.u.mask("a")),
-                Clause(self.u.id("y"), self.u.mask("b"))]
+        pool = [self.u.mask("a"), self.u.mask("b")]
         combos = list(enumerate_candidates(heads, pool))
         # head a cannot take body {a}
         assert len(combos) == 2
@@ -130,8 +159,7 @@ class TestEnumerateCandidates:
 
     def test_canonical_order(self):
         heads = self.u.mask("xy")
-        pool = [Clause(self.u.id("x"), self.u.mask("a")),
-                Clause(self.u.id("x"), self.u.mask("b"))]
+        pool = [self.u.mask("a"), self.u.mask("b")]
         combos = list(enumerate_candidates(heads, pool))
         bodies = [[bit_ids(c.body) for c in combo] for combo in combos]
         assert bodies == sorted(bodies)
@@ -142,11 +170,10 @@ class TestFilters:
         f = parse_formula(["a->c", "b->c"])
         state = advance(f, 1)
         body = f.universe.mask("b")
-        heads = compute_heads(state, body)
-        analysis = state.analyses[body]
-        pool = _hclose(heads, analysis.ucl)
-        rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
-        assert not filter_body_coverage(state, body, pool, rest)
+        trace, failure = run_iteration(state, body, Options())
+        assert failure == "body_coverage"
+        assert trace.candidates_tested == 0
+        assert trace.filter_hits["body_coverage"] == 1
 
     def test_coverage_with_covering_candidate(self):
         f = parse_formula(["a->x"])
@@ -154,19 +181,14 @@ class TestFilters:
         body = f.universe.mask("a")
         heads = compute_heads(state, body)
         analysis = state.analyses[body]
-        pool = _hclose(heads, analysis.ucl)
-        rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
+        need = _body_vars(_hclose(heads, analysis.ucl)) & ~state.g_body_vars
         candidate = (Clause(f.universe.id("x"), f.universe.mask("a")),)
-        assert filter_body_coverage(state, body, pool, rest, candidate)
+        assert filter_body_coverage(need, candidate)
 
     def test_coverage_vacuous_when_everything_empty(self):
-        f = parse_formula(["a->x", "b->x"])
-        state = advance(f, 1)
-        body = f.universe.mask("b")
         # heads empty, pool empty; remaining closure is blocked instead
-        pool = frozenset()
-        assert filter_body_coverage(state, body, pool, frozenset())
-        assert filter_body_coverage(state, body, pool, frozenset(), ())
+        assert filter_body_coverage(0)
+        assert filter_body_coverage(0, ())
 
     def test_maxit_rejects_unreachable_consequences(self):
         f = parse_formula(["a->x", "b->x"])
@@ -228,26 +250,26 @@ class TestCheckAccept:
         f = parse_formula(["a->b", "b->a", "bc->d"])
         state = new_state(f)
         body = choose_minimal_body(state)
-        accepted, trace, failure = run_iteration(state, body, Options())
+        trace, failure = run_iteration(state, body, Options())
         assert failure is None
-        assert {state.formula.universe.clause_text(c) for c in accepted} \
-            == {"a->b", "b->a"}
+        assert {state.formula.universe.clause_text(c)
+                for c in trace.accepted} == {"a->b", "b->a"}
 
     def test_loop_entry_body_never_accepted(self):
         f = parse_formula(["a->b", "b->c", "c->b"])
         state = advance(f, 1)
         body = f.universe.mask("a")
-        accepted, trace, failure = run_iteration(state, body, ALL_OFF)
-        assert accepted is None and failure == "exhausted"
+        trace, failure = run_iteration(state, body, ALL_OFF)
+        assert trace.accepted is None and failure == "exhausted"
         assert trace.candidates_tested == 1  # the single empty assignment
 
     def test_single_head_input_reaccepted(self):
         f = parse_formula(["a->b"])
         state = new_state(f)
         body = f.universe.mask("a")
-        accepted, _, failure = run_iteration(state, body, Options())
+        trace, failure = run_iteration(state, body, Options())
         assert failure is None
-        assert set(accepted) == set(f.clauses)
+        assert set(trace.accepted) == set(f.clauses)
 
 
 class TestReconstruct:
@@ -312,7 +334,9 @@ class TestReconstruct:
                     if not body_lt(f, f.universe.names_of(earlier.body),
                                    f.universe.names_of(later)):
                         continue
-                    for c in earlier.target:
+                    analysis = analyze_body(f, earlier.body)
+                    target = _hclose(analysis.rcn_mask, analysis.ucl)
+                    for c in target:
                         assert naive_bcn(g, c.body) >> c.head & 1, \
                             (f.clause_texts(), k)
 
@@ -325,6 +349,33 @@ class TestReconstruct:
             == second.report.candidates_tested
         if isinstance(first, Success):
             assert first.formula == second.formula
+
+
+class TestSearchWork:
+    # pinned counts: a rewrite of the search that moves any of them
+    # changes the work the search does, not only what that work costs
+    def _totals(self, options):
+        outs = [reconstruct(f, options)
+                for f in sample_formulas(5, 300, 6, 2, seed=4242)]
+        traces = [t for out in outs for t in out.report.iterations]
+        hits = dict.fromkeys(outs[0].report.filter_hits, 0)
+        for out in outs:
+            for name, count in out.report.filter_hits.items():
+                hits[name] += count
+        return (sum(out.report.candidates_tested for out in outs),
+                len(traces), sum(t.reduced_size for t in traces), hits,
+                sum(out.verdict == "single-head" for out in outs))
+
+    def test_default_options(self):
+        assert self._totals(Options()) == (
+            559, 601, 675, {"body_coverage": 93, "head_reachability": 13,
+                            "consequence_equality": 22}, 213)
+
+    def test_all_switches_off(self):
+        candidates, iterations, reduced, hits, single = self._totals(ALL_OFF)
+        assert (candidates, iterations, reduced, single) \
+            == (1225, 601, 703, 213)
+        assert not any(hits.values())
 
 
 class TestMultiCharacterNames:
@@ -369,7 +420,8 @@ class TestAcceptFastPath:
             pool = _hclose(heads, analysis.ucl)
             rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
             target = pool | rest
-            for candidate in enumerate_candidates(heads, pool,
+            pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
+            for candidate in enumerate_candidates(heads, pool_bodies,
                                                   exclude_tautological=False):
                 git = state.g + list(candidate)
                 assert check_accept(state, body, git, target) \
