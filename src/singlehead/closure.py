@@ -82,8 +82,8 @@ def hclose(heads: Iterable[str], f: Formula) -> tuple[Clause, ...]:
     return tuple(sorted(result, key=clause_key))
 
 
-def _minbodies(candidates: Iterable[Clause], context: Sequence[Clause],
-               nvars: int) -> frozenset[Clause]:
+def _minbodies(candidates: Iterable[Clause],
+               context: Sequence[Clause]) -> frozenset[Clause]:
     """Reduce candidates: per head, keep the canonical-first body of each
     sink class of the "body plus context entails body" preorder.
 
@@ -97,7 +97,7 @@ def _minbodies(candidates: Iterable[Clause], context: Sequence[Clause],
         by_head[c.head].add(c.body)
     kept: set[Clause] = set()
     for head, bodies in by_head.items():
-        reach = {b: propagate(context, nvars, b)[0] for b in bodies}
+        reach = {b: propagate(context, b)[0] for b in bodies}
         for b in bodies:
             # the preorder is transitive: when all the bodies b entails
             # entail b back, they are b's sink class
@@ -113,8 +113,9 @@ def minbodies(candidates: Iterable[Clause], context: Iterable[Clause],
     """Subset of `candidates` still covering every candidate body.
 
     For every clause B' -> x of the input there is a kept clause B'' -> x
-    such that the context together with B' entails B''.
+    such that the context together with B' entails B''.  `nvars` is not
+    used; the signature is kept for existing callers.
     """
     ctx = tuple(context)
-    result = _minbodies(candidates, ctx, nvars)
+    result = _minbodies(candidates, ctx)
     return tuple(sorted(result, key=clause_key))

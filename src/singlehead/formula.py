@@ -115,7 +115,18 @@ class Universe:
         return ",".join(names)
 
     def clause_text(self, clause: Clause) -> str:
-        return self.body_text(clause.body) + "->" + self.names[clause.head]
+        """`body->head`, in the comma form `body,->head` when the text
+        without a comma would not parse back to this clause (a lone name
+        such as `foo` would be read letter by letter)."""
+        body = [self.names[i] for i in bit_ids(clause.body)]
+        head = self.names[clause.head]
+        text = self.body_text(clause.body) + "->" + head
+        try:
+            if _expand_item(text)[1] == [(body, head)]:
+                return text
+        except ParseError:
+            pass
+        return ",".join(body) + ",->" + head
 
 
 @dataclass(frozen=True)
@@ -162,18 +173,21 @@ def is_single_head(f: Formula) -> bool:
 # parsing
 
 _ARROW = "->"
+_NAME_MARKS = frozenset("0123456789_")
 
 
 def _tokenize_side(text: str, item: str, offset: int,
                    comma_mode: Optional[bool] = None) -> list[str]:
     """Split one side of an item into variable names.
 
-    Single lowercase letters by default; a comma anywhere in the item
-    switches the whole item to comma-separated multi-character names.
+    Single lowercase letters by default.  A comma anywhere in the item
+    switches the whole item to comma-separated multi-character names; in
+    an item without one, a side holding a digit `0`-`9` or `_` is one
+    multi-character name.
     """
     if comma_mode is None:
         comma_mode = "," in text
-    if comma_mode:
+    if comma_mode or not _NAME_MARKS.isdisjoint(text):
         names = []
         pos = offset
         for piece in text.split(","):
@@ -264,47 +278,45 @@ def normalize(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # forward chaining
 
-def propagate(clauses: Sequence[Clause], nvars: int,
+def propagate(clauses: Sequence[tuple[int, int]],
               seed: int) -> tuple[int, int, list[int]]:
     """One forward-chaining pass from a seed set of variables.
 
-    Each clause counts its body variables not yet derived; a clause fires
-    when the count reaches zero, adding its head.  Returns the closure mask,
-    the mask of heads of fired clauses, and the fired clause indexes in
-    firing order.  Time is linear in the total size of the clauses.
+    `clauses` are `(head, body)` pairs, `Clause` tuples or plain ones.  Each
+    clause counts its body variables not yet derived; a clause fires when
+    the count reaches zero, adding its head.  Returns the closure mask, the
+    mask of heads of fired clauses, and the fired clause indexes in firing
+    order.  Time is linear in the total size of the clauses.
     """
     counts = []
-    watch: list[list[int]] = [[] for _ in range(nvars)]
-    queue: list[int] = []
+    watch: dict[int, list[int]] = {}   # variable bit -> clauses missing it
+    fired: list[int] = []
     for i, (_, body) in enumerate(clauses):
         missing = body & ~seed
         counts.append(missing.bit_count())
         if not missing:
-            queue.append(i)
-        else:
-            for v in bit_ids(missing):
-                watch[v].append(i)
+            fired.append(i)
+        while missing:
+            bit = missing & -missing
+            watch.setdefault(bit, []).append(i)
+            missing ^= bit
     closure = seed
     fired_heads = 0
-    fired: list[int] = []
-    at = 0
-    while at < len(queue):
-        i = queue[at]
-        at += 1
-        fired.append(i)
-        head = clauses[i].head
-        fired_heads |= 1 << head
-        if not closure >> head & 1:
-            closure |= 1 << head
-            for j in watch[head]:
+    # `fired` is the queue: the loop also visits the indexes appended to it
+    for i in fired:
+        bit = 1 << clauses[i][0]
+        fired_heads |= bit
+        if not closure & bit:
+            closure |= bit
+            for j in watch.get(bit, ()):
                 counts[j] -= 1
                 if not counts[j]:
-                    queue.append(j)
+                    fired.append(j)
     return closure, fired_heads, fired
 
 
 def closure_mask(f: Formula, seed: int) -> int:
-    return propagate(f.clauses, len(f.universe), seed)[0]
+    return propagate(f.clauses, seed)[0]
 
 
 def bcn(f: Formula, body: Iterable[str]) -> frozenset[str]:
@@ -381,8 +393,7 @@ class BodyAnalysis:
 
 
 def analyze_body(f: Formula, body_mask: int) -> BodyAnalysis:
-    closure, fired_heads, fired = propagate(f.clauses, len(f.universe),
-                                            body_mask)
+    closure, fired_heads, fired = propagate(f.clauses, body_mask)
     ucl = tuple(sorted((f.clauses[i] for i in fired), key=clause_key))
     return BodyAnalysis(f.universe, body_mask, closure, fired_heads, ucl)
 

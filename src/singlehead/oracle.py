@@ -63,15 +63,15 @@ def brute_force_single_head_equivalent(
     for combo in itertools.product(*options):
         clauses = tuple(Clause(v, body) for v, body in enumerate(combo)
                         if body is not None)
-        if _covers_input(clauses, n, required):
+        if _covers_input(clauses, required):
             return Formula(universe, clauses)
     return None
 
 
-def _covers_input(clauses: tuple[Clause, ...], nvars: int,
+def _covers_input(clauses: tuple[Clause, ...],
                   required: dict[int, int]) -> bool:
     for body, heads in required.items():
-        if heads & ~propagate(clauses, nvars, body)[0]:
+        if heads & ~propagate(clauses, body)[0]:
             return False
     return True
 

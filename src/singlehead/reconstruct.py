@@ -126,10 +126,6 @@ class ReconstructionState:
     g_body_vars: int = 0
     used: set[Clause] = field(default_factory=set)
 
-    @property
-    def nvars(self) -> int:
-        return len(self.formula.universe)
-
     def g_formula(self) -> Formula:
         return Formula(self.formula.universe, self.g)
 
@@ -176,42 +172,41 @@ def candidate_space(state: ReconstructionState, body: int,
     if not reduce_pool:
         return pool, pool
     context = tuple(c for c in analysis.ucl if c in state.used)
-    return pool, _minbodies(pool, context, state.nvars)
+    return pool, _minbodies(pool, context)
 
 
 def enumerate_candidates(heads: int, pool_bodies: Sequence[int],
                          exclude_tautological: bool = True
-                         ) -> Iterator[tuple[Clause, ...]]:
-    """Assignments of one pool body to every head, canonical order when
-    `pool_bodies` is in canonical body order.
+                         ) -> Iterator[tuple[int, ...]]:
+    """Assignments of one pool body to every head, as tuples of body masks
+    in ascending head id; canonical order when `pool_bodies` is in
+    canonical body order.
 
     By default a head is never paired with a body containing it; with
     `exclude_tautological` off the full Cartesian product over the pool is
     produced and tautological pairings are left to fail the acceptance
     check.
     """
-    head_ids = bit_ids(heads)
     per_head = []
-    for h in head_ids:
+    for h in bit_ids(heads):
         if exclude_tautological:
             per_head.append([b for b in pool_bodies if not b >> h & 1])
         else:
             per_head.append(pool_bodies)
-    for combo in itertools.product(*per_head):
-        yield tuple(Clause(h, b) for h, b in zip(head_ids, combo))
+    yield from itertools.product(*per_head)
 
 
-def _body_vars(clauses: Iterable[Clause]) -> int:
+def _body_vars(bodies: Iterable[int]) -> int:
+    """The variables of some body masks: their union."""
     mask = 0
-    for c in clauses:
-        mask |= c.body
+    for b in bodies:
+        mask |= b
     return mask
 
 
-def filter_body_coverage(need: int,
-                         candidate: Sequence[Clause] = ()) -> bool:
-    """Necessary condition on body variables: the candidate bodies supply
-    every variable in `need`.
+def filter_body_coverage(need: int, bodies: Iterable[int] = ()) -> bool:
+    """Necessary condition on body variables: the candidate's body masks
+    supply every variable in `need`.
 
     The minimal consequences of this body can only be rebuilt from body
     variables that appear in the formula under construction or in the
@@ -221,7 +216,7 @@ def filter_body_coverage(need: int,
     no candidate can supply them.  Per candidate, `need` holds the pool's
     body variables missing from the formula under construction.
     """
-    return not need & ~_body_vars(candidate)
+    return not need & ~_body_vars(bodies)
 
 
 def filter_maxit(state: ReconstructionState, body: int, heads: int) -> bool:
@@ -232,22 +227,22 @@ def filter_maxit(state: ReconstructionState, body: int, heads: int) -> bool:
     variables; otherwise no candidate can succeed.
     """
     target = state.analyses[body].rcn_mask
-    _, fired, _ = propagate(state.g, state.nvars, body | heads)
+    _, fired, _ = propagate(state.g, body | heads)
     return not target & ~(heads | fired)
 
 
 def filter_rcn_equality(state: ReconstructionState, body: int,
-                        with_candidate: Sequence[Clause],
+                        with_candidate: Sequence[tuple[int, int]],
                         pool_bodies: Iterable[int]) -> bool:
     """Necessary condition on derived variables.
 
     Every candidate-pool body is interchangeable with the processed body,
-    so under the formula under construction plus the candidate it must
-    derive exactly the same variables.
+    so under the formula under construction plus the candidate, as
+    `(head, body)` pairs, it must derive exactly the same variables.
     """
     target = state.analyses[body].rcn_mask
     for other in pool_bodies:
-        _, fired, _ = propagate(with_candidate, state.nvars, other)
+        _, fired, _ = propagate(with_candidate, other)
         if fired != target:
             return False
     return True
@@ -265,7 +260,7 @@ def check_accept(state: ReconstructionState, body: int,
     never repeat: the candidate has one per head, none headed in `g`.
     """
     clauses = tuple(c for c in with_candidate if not c.is_tautology())
-    _, fired, fired_at = propagate(clauses, state.nvars, body)
+    _, fired, fired_at = propagate(clauses, body)
     if fired != state.analyses[body].rcn_mask:
         return False
     usable = tuple(clauses[i] for i in fired_at)
@@ -300,8 +295,9 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
     target = pool | rest
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
+    head_ids = bit_ids(heads)
     free = ~state.g_body_vars
-    need = _body_vars(pool) & free
+    need = _body_vars(c.body for c in pool) & free
 
     hits = dict.fromkeys(FILTER_NAMES, 0)
     trace = IterationTrace(
@@ -315,29 +311,29 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     )
 
     if options.body_coverage and not filter_body_coverage(
-            _body_vars(rest) & free & ~need):
+            _body_vars(c.body for c in rest) & free & ~need):
         hits["body_coverage"] += 1
         return trace, "body_coverage"
     if options.head_reachability and not filter_maxit(state, body, heads):
         hits["head_reachability"] += 1
         return trace, "head_reachability"
 
-    for candidate in enumerate_candidates(
+    for bodies in enumerate_candidates(
             heads, pool_bodies, exclude_tautological=options.body_coverage):
         if options.budget is not None \
                 and trace.candidates_tested >= options.budget:
             return trace, _BUDGET
         trace.candidates_tested += 1
-        if options.body_coverage and not filter_body_coverage(need,
-                                                              candidate):
+        if options.body_coverage and not filter_body_coverage(need, bodies):
             hits["body_coverage"] += 1
             continue
-        with_candidate = state.g + list(candidate)
         if options.consequence_equality and not filter_rcn_equality(
-                state, body, with_candidate, pool_bodies):
+                state, body, state.g + list(zip(head_ids, bodies)),
+                pool_bodies):
             hits["consequence_equality"] += 1
             continue
-        if check_accept(state, body, with_candidate, target):
+        candidate = tuple(map(Clause, head_ids, bodies))
+        if check_accept(state, body, state.g + list(candidate), target):
             trace.accepted = candidate
             return trace, None
     return trace, _EXHAUSTED

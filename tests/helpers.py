@@ -13,17 +13,28 @@ from singlehead.closure import minimal_clauses
 from singlehead.formula import Clause, Formula, all_bodies, bit_ids
 
 
-def naive_bcn(f: Formula, seed: int) -> int:
-    """Fixpoint by rescanning every clause until nothing changes."""
+def naive_propagate(clauses, seed: int) -> tuple[int, int, set[int]]:
+    """Fixpoint over `(head, body)` pairs by rescanning every pair until
+    nothing changes.  Returns the closure, the heads of the pairs whose body
+    lies inside it, and the indexes of those pairs."""
     closure = seed
     changed = True
     while changed:
         changed = False
-        for c in f.clauses:
-            if c.body & closure == c.body and not closure >> c.head & 1:
-                closure |= 1 << c.head
+        for head, body in clauses:
+            if body & closure == body and not closure >> head & 1:
+                closure |= 1 << head
                 changed = True
-    return closure
+    fired = {i for i, (_, body) in enumerate(clauses)
+             if body & closure == body}
+    heads = 0
+    for i in fired:
+        heads |= 1 << clauses[i][0]
+    return closure, heads, fired
+
+
+def naive_bcn(f: Formula, seed: int) -> int:
+    return naive_propagate(f.clauses, seed)[0]
 
 
 def naive_entails(f: Formula, body: int, head: int) -> bool:

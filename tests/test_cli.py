@@ -181,6 +181,14 @@ class TestModes:
         assert code == 0
         assert "a->b b->d" in out
 
+    def test_lone_multi_character_names_without_comma(self):
+        code, out, _ = run(["--json", "-f", "a0->p0"])
+        assert code == 0
+        assert json.loads(out)["results"][0]["output"] == ["a0->p0"]
+        code, out, _ = run(["-f", "a0->p0", "p0->q1", "--forget", "p0"])
+        assert code == 0
+        assert "a0->q1" in out
+
     def test_repeated_formula_flag_extends(self):
         code, out, _ = run(["--json", "-f", "a->b", "-f", "b->c"])
         assert code == 0

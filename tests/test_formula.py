@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas
-from helpers import naive_bcn, naive_entails
+from helpers import naive_bcn, naive_entails, naive_propagate
 
 from singlehead.formula import (Clause, Formula, ParseError, Universe, bcn,
                                 body_equiv, body_leq, body_lt, entails_clause,
                                 formula_items, is_single_head, normalize,
-                                parse_formula, rcn_ucl)
+                                parse_formula, parse_variables, propagate,
+                                rcn_ucl)
 from singlehead.oracle import sample_formulas
 
 
@@ -75,6 +76,36 @@ class TestParsing:
         f = parse_formula(["ab->cd", "df=gh", "e->a"])
         again = parse_formula(formula_items(f), universe=f.universe)
         assert again == f
+
+    def test_digit_or_underscore_side_is_one_name(self):
+        assert texts(parse_formula(["a0->p0"])) == {"a0->p0"}
+        f = parse_formula(["x_1=y2"])
+        assert f.universe.names == ("x_1", "y2")
+        assert texts(f) == {"x_1->y2", "y2->x_1"}
+        # per side: the head side without a digit is still letters
+        assert texts(parse_formula(["a0->bc"])) == {"a0->b", "a0->c"}
+        assert parse_variables("a0") == ["a0"]
+        assert parse_variables("ab") == ["a", "b"]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_items_round_trip_mixed_names(self, data):
+        # universes mixing one-letter and multi-character names, with and
+        # without digits and `_`
+        one = st.sampled_from("abcxyzAB_")
+        many = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_]{1,4}", fullmatch=True)
+        names = data.draw(st.sets(st.one_of(one, many), min_size=1,
+                                  max_size=6))
+        u = Universe(names)
+        n = len(u)
+        clauses = [Clause(head, body) for head, body in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, (1 << n) - 1)),
+            max_size=6)) if not body >> head & 1]
+        f = Formula(u, clauses)
+        items = formula_items(f)
+        again = parse_formula(items, universe=u)
+        assert again == f
+        assert formula_items(again) == items
 
 
 class TestInterning:
@@ -148,6 +179,51 @@ class TestBcn:
         u = f.universe
         assert bcn(f, u.names_of(small)) <= bcn(f, u.names_of(small | grow))
         assert a & ~b == 0
+
+
+@st.composite
+def clause_lists(draw):
+    """`(head, body)` pairs, some as `Clause`, with tautologies, repeated
+    heads and empty bodies, plus a chain listed in either order; and a
+    seed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, (1 << n) - 1)), max_size=10))
+    length = draw(st.integers(min_value=0, max_value=n - 1))
+    chain = [(i + 1, 1 << i) for i in range(length)]
+    if draw(st.booleans()):
+        chain.reverse()
+    pairs += chain
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
+    clauses = [Clause(*p) if draw(st.booleans()) else p for p in pairs]
+    return clauses, draw(st.integers(0, (1 << n) - 1))
+
+
+class TestPropagate:
+    @settings(max_examples=300)
+    @given(clause_lists())
+    def test_matches_naive_fixpoint(self, case):
+        clauses, seed = case
+        closure, fired_heads, fired = propagate(clauses, seed)
+        assert (closure, fired_heads, set(fired)) \
+            == naive_propagate(clauses, seed)
+        # firing order: each clause's body was derived before it fired
+        derived = seed
+        for i in fired:
+            head, body = clauses[i]
+            assert not body & ~derived
+            derived |= 1 << head
+        assert len(fired) == len(set(fired))
+
+    def test_long_chain_in_both_orders(self):
+        chain = [(i + 1, 1 << i) for i in range(200)]
+        full = (1 << 201) - 1
+        closure, heads, fired = propagate(chain, 1)
+        assert (closure, heads, fired) == (full, full - 1, list(range(200)))
+        closure, heads, fired = propagate(chain[::-1], 1)
+        assert (closure, heads) == (full, full - 1)
+        assert fired == list(range(199, -1, -1))
 
 
 class TestEntailment:

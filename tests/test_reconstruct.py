@@ -161,7 +161,7 @@ class TestEnumerateCandidates:
         heads = self.u.mask("xy")
         pool = [self.u.mask("a"), self.u.mask("b")]
         combos = list(enumerate_candidates(heads, pool))
-        bodies = [[bit_ids(c.body) for c in combo] for combo in combos]
+        bodies = [[bit_ids(b) for b in combo] for combo in combos]
         assert bodies == sorted(bodies)
 
 
@@ -181,9 +181,9 @@ class TestFilters:
         body = f.universe.mask("a")
         heads = compute_heads(state, body)
         analysis = state.analyses[body]
-        need = _body_vars(_hclose(heads, analysis.ucl)) & ~state.g_body_vars
-        candidate = (Clause(f.universe.id("x"), f.universe.mask("a")),)
-        assert filter_body_coverage(need, candidate)
+        pool = _hclose(heads, analysis.ucl)
+        need = _body_vars(c.body for c in pool) & ~state.g_body_vars
+        assert filter_body_coverage(need, (f.universe.mask("a"),))
 
     def test_coverage_vacuous_when_everything_empty(self):
         # heads empty, pool empty; remaining closure is blocked instead
@@ -387,7 +387,11 @@ class TestMultiCharacterNames:
         expected = parse_formula(["alpha,->beta,", "beta,->gamma,",
                                   "gamma,->delta,"], universe=f.universe)
         assert formulas_equivalent(out.formula, expected)
-        assert "alpha->beta" in out.formula.clause_texts()
+        # a lone name without a digit or `_` keeps its comma, so that the
+        # item parses back
+        assert "alpha,->beta" in out.formula.clause_texts()
+        assert parse_formula(out.formula.clause_texts(),
+                             universe=f.universe) == out.formula
 
     def test_failure_body_names(self):
         f = parse_formula(["alpha,->gamma,", "beta,->gamma,"])
@@ -405,7 +409,7 @@ class TestAcceptFastPath:
         def plain(state, body, with_candidate, target):
             clauses = tuple(dict.fromkeys(
                 c for c in with_candidate if not c.is_tautology()))
-            _, fired, fired_at = propagate(clauses, state.nvars, body)
+            _, fired, fired_at = propagate(clauses, body)
             usable = tuple(clauses[i] for i in fired_at)
             return _hclose(fired, usable) == target
 
@@ -421,9 +425,9 @@ class TestAcceptFastPath:
             rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
             target = pool | rest
             pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
-            for candidate in enumerate_candidates(heads, pool_bodies,
-                                                  exclude_tautological=False):
-                git = state.g + list(candidate)
+            for bodies in enumerate_candidates(heads, pool_bodies,
+                                               exclude_tautological=False):
+                git = state.g + list(map(Clause, bit_ids(heads), bodies))
                 assert check_accept(state, body, git, target) \
                     == plain(state, body, git, target)
                 checked += 1
