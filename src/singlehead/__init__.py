@@ -6,9 +6,9 @@ from .closure import hclose, minbodies, minimal_clauses, resolve_on_head
 from .corpus import CorpusCase, corpus_paths, load_corpus_file
 from .forget import forget_by_resolution, forget_single_head
 from .formula import (BodyAnalysis, Clause, Formula, ParseError, Universe,
-                      Variable, bcn, body_equiv, body_leq, body_lt,
-                      entails_clause, formula_items, is_single_head,
-                      normalize, parse_formula, rcn_ucl)
+                      bcn, body_equiv, body_leq, body_lt, entails_clause,
+                      formula_items, is_single_head, normalize, parse_formula,
+                      rcn_ucl)
 from .oracle import (brute_force_single_head_equivalent,
                      enumerate_small_formulas, formulas_equivalent,
                      sample_formulas)
@@ -20,7 +20,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BodyAnalysis", "Clause", "CorpusCase", "Formula", "Inconclusive",
     "NotSingleHead", "Options", "ParseError", "Success", "Universe",
-    "Variable", "bcn", "body_equiv", "body_leq", "body_lt",
+    "bcn", "body_equiv", "body_leq", "body_lt",
     "brute_force_single_head_equivalent", "corpus_paths", "entails_clause",
     "enumerate_small_formulas", "forget_by_resolution", "forget_single_head",
     "formula_items", "formulas_equivalent", "hclose", "is_single_head",

@@ -91,6 +91,9 @@ def _run_one(source: str, case: Optional[CorpusCase], formula: Formula,
              args, options: Options) -> dict:
     universe = formula.universe
     dropped = parse_variables(args.forget) if args.forget else []
+    if any(n not in universe for n in dropped) \
+            and args.forget.strip() in universe:
+        dropped = [args.forget.strip()]   # a lone multi-character name
     unknown = [n for n in dropped if n not in universe]
     if unknown:
         raise _UsageError(f"--forget names variables not in {source}: "

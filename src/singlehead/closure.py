@@ -30,17 +30,23 @@ def resolve_on_head(side: Clause, target: Clause) -> Optional[Clause]:
     return Clause(target.head, new_body)
 
 
+def _keep(kept: dict[int, set[int]], clause: Clause) -> bool:
+    """Insert into `kept` (head -> bodies) unless a kept same-head body is
+    a subset of the clause's body; evict the kept bodies strictly above it."""
+    bodies, body = kept[clause.head], clause.body
+    if any(not o & ~body for o in bodies):
+        return False
+    bodies -= {o for o in bodies if not body & ~o}
+    bodies.add(body)
+    return True
+
+
 def _minimal(clauses: Iterable[Clause]) -> set[Clause]:
     """Clauses whose body is no strict superset of a same-head body."""
-    by_head: dict[int, list[int]] = defaultdict(list)
+    kept: dict[int, set[int]] = defaultdict(set)
     for c in clauses:
-        by_head[c.head].append(c.body)
-    keep: set[Clause] = set()
-    for head, bodies in by_head.items():
-        for b in bodies:
-            if not any(o != b and o & b == o for o in bodies):
-                keep.add(Clause(head, b))
-    return keep
+        _keep(kept, c)
+    return {Clause(h, b) for h, bodies in kept.items() for b in bodies}
 
 
 def minimal_clauses(clauses: Iterable[Clause]) -> tuple[Clause, ...]:
@@ -48,32 +54,26 @@ def minimal_clauses(clauses: Iterable[Clause]) -> tuple[Clause, ...]:
     return tuple(sorted(_minimal(clauses), key=clause_key))
 
 
-def _hclose(heads_mask: int, clauses: Sequence[Clause],
-            frontier_log: Optional[list] = None) -> frozenset[Clause]:
-    """Worklist saturation for the head-bounded closure.
+def _hclose(heads_mask: int, clauses: Sequence[Clause]) -> frozenset[Clause]:
+    """Stack-driven saturation for the head-bounded closure.
 
-    Seeds with the formula's own clauses whose head is a target, then
-    repeatedly resolves every frontier clause against all formula clauses,
-    keeping non-tautological resolvents and re-minimizing.  Processed
-    clauses are never re-admitted to the frontier, which bounds the run.
+    Seeds the stack with the formula's non-tautological target-headed
+    clauses; each popped clause that `_keep` admits is resolved against
+    every formula clause and its resolvents are pushed.  A refused clause
+    needs no resolving: each of its resolvents contains a resolvent of the
+    kept body below it, or that body.  It terminates because an evicted
+    clause stays subsumed, so each clause is kept, and resolved, at most once.
     """
-    current = _minimal(c for c in clauses
-                       if heads_mask >> c.head & 1 and not c.is_tautology())
-    processed: set[Clause] = set()
-    frontier = sorted(current, key=clause_key)
-    while frontier:
-        if frontier_log is not None:
-            frontier_log.extend(frontier)
-        grown = set(current)
-        for target in frontier:
-            for side in clauses:
-                resolvent = resolve_on_head(side, target)
-                if resolvent is not None:
-                    grown.add(resolvent)
-        current = _minimal(grown)
-        processed.update(frontier)
-        frontier = sorted(current - processed, key=clause_key)
-    return frozenset(current)
+    kept: dict[int, set[int]] = defaultdict(set)
+    stack = [c for c in clauses
+             if heads_mask >> c.head & 1 and not c.is_tautology()]
+    while stack:
+        target = stack.pop()
+        if _keep(kept, target):
+            stack.extend(r for side in clauses
+                         if (r := resolve_on_head(side, target)) is not None)
+    return frozenset(Clause(h, b) for h, bodies in kept.items()
+                     for b in bodies)
 
 
 def hclose(heads: Iterable[str], f: Formula) -> tuple[Clause, ...]:

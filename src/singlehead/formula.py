@@ -29,11 +29,6 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-class Variable(NamedTuple):
-    id: int
-    name: str
-
-
 class Clause(NamedTuple):
     """One definite Horn clause: body bitmask -> head variable id."""
 
@@ -92,12 +87,6 @@ class Universe:
             return self._ids[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
-
-    def variable(self, name: str) -> Variable:
-        return Variable(self.id(name), name)
-
-    def variables(self, mask: int) -> tuple[Variable, ...]:
-        return tuple(Variable(i, self.names[i]) for i in bit_ids(mask))
 
     def mask(self, names: Iterable[str]) -> int:
         m = 0

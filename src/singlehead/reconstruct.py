@@ -138,7 +138,7 @@ def precompute_bodies(f: Formula) -> dict[int, BodyAnalysis]:
 def new_state(f: Formula) -> ReconstructionState:
     f = normalize(f)
     analyses = precompute_bodies(f)
-    return ReconstructionState(f, analyses, sorted(analyses, key=bit_ids))
+    return ReconstructionState(f, analyses, list(analyses))
 
 
 def choose_minimal_body(state: ReconstructionState) -> int:

@@ -1,16 +1,16 @@
 """Independent reference implementations the tests check the package against.
 
 These deliberately avoid the shipped code paths: the fixpoint here is a
-naive repeated scan, the closure oracle enumerates every body, and model
-sets come from full truth-table enumeration.
+naive repeated scan, the closure oracle enumerates every body and keeps
+the minimal ones by comparing every pair, and model sets come from full
+truth-table enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from singlehead.closure import minimal_clauses
-from singlehead.formula import Clause, Formula, all_bodies, bit_ids
+from singlehead.formula import Clause, Formula, all_bodies, bit_ids, clause_key
 
 
 def naive_propagate(clauses, seed: int) -> tuple[int, int, set[int]]:
@@ -43,6 +43,17 @@ def naive_entails(f: Formula, body: int, head: int) -> bool:
     return bool(naive_bcn(f, body) >> head & 1)
 
 
+def naive_minimal(clauses) -> tuple[Clause, ...]:
+    """The clauses whose body is no strict superset of a same-head body,
+    by comparing every pair, in canonical order without duplicates."""
+    clauses = set(clauses)
+    return tuple(sorted(
+        (c for c in clauses
+         if not any(o.head == c.head and o.body != c.body
+                    and o.body & c.body == o.body for o in clauses)),
+        key=clause_key))
+
+
 def brute_hclose(heads_mask: int, f: Formula) -> tuple[Clause, ...]:
     """Every minimal entailed non-tautological clause with a head in the set,
     found by trying all bodies."""
@@ -52,7 +63,7 @@ def brute_hclose(heads_mask: int, f: Formula) -> tuple[Clause, ...]:
         for body in all_bodies(n, without=head):
             if naive_bcn(f, body) >> head & 1:
                 found.append(Clause(head, body))
-    return minimal_clauses(found)
+    return naive_minimal(found)
 
 
 def naive_minbodies(candidates, context: Formula) -> set[Clause]:

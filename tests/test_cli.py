@@ -189,6 +189,22 @@ class TestModes:
         assert code == 0
         assert "a0->q1" in out
 
+    def test_forget_lone_multi_character_name(self):
+        code, out, _ = run(["--json", "-f", "foo,->a", "a->b",
+                            "--forget", "foo"])
+        assert code == 0
+        assert json.loads(out)["results"][0]["forget"] == {
+            "kept": ["a", "b"], "output": ["a->b"]}
+        # the letter reading still wins whenever it names known variables
+        code, out, _ = run(["--json", "-f", "foo,->a", "f->o", "a->b",
+                            "--forget", "foo"])
+        assert code == 0
+        assert json.loads(out)["results"][0]["forget"]["kept"] == [
+            "a", "b", "foo"]
+        code, _, err = run(["-f", "foo,->a", "a->b", "--forget", "fo"])
+        assert code == 64
+        assert "f,o" in err
+
     def test_repeated_formula_flag_extends(self):
         code, out, _ = run(["--json", "-f", "a->b", "-f", "b->c"])
         assert code == 0

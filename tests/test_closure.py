@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from helpers import brute_hclose, naive_bcn, naive_minbodies
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import brute_hclose, naive_bcn, naive_minbodies, naive_minimal
 
 from singlehead.closure import (_hclose, hclose, minbodies, minimal_clauses,
                                 resolve_on_head)
@@ -37,8 +41,25 @@ class TestResolveOnHead:
         assert resolve_on_head(side, target) is None
 
 
+@st.composite
+def raw_clause_lists(draw, nvars=5):
+    """Clause lists over few heads, so heads repeat, with bodies drawn from
+    every mask, so empty bodies and tautologies occur, plus duplicates."""
+    clause = st.builds(Clause, st.integers(0, 2),
+                       st.integers(0, (1 << nvars) - 1))
+    clauses = draw(st.lists(clause, max_size=24))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=6))
+    return draw(st.permutations(clauses))
+
+
 class TestMinimalClauses:
     u = Universe("abcdx")
+
+    @settings(max_examples=400)
+    @given(raw_clause_lists())
+    def test_matches_naive_filter(self, clauses):
+        assert minimal_clauses(clauses) == naive_minimal(clauses)
 
     def test_strict_containment_removed(self):
         kept = minimal_clauses([cl(self.u, "ac", "d"), cl(self.u, "abc", "d")])
@@ -97,13 +118,6 @@ class TestHclose:
                 split = _hclose(h1, f.clauses) | _hclose(h2, f.clauses)
                 assert union == split
 
-    def test_frontier_never_readmits(self):
-        for f in sample_formulas(5, 60, 6, 3, seed=808):
-            n = len(f.universe)
-            log = []
-            _hclose((1 << n) - 1, f.clauses, frontier_log=log)
-            assert len(log) == len(set(log))
-
     def test_output_is_minimal_and_entailed(self):
         for f in sample_formulas(5, 60, 6, 3, seed=909):
             n = len(f.universe)
@@ -116,6 +130,23 @@ class TestHclose:
                 for other in out:
                     if other.head == c.head and other != c:
                         assert other.body & c.body not in (other.body, c.body)
+
+
+    @pytest.mark.parametrize("k, size", [(4, 82), (5, 244)])
+    def test_deep_closure_known_by_construction(self, k, size):
+        # q->a_i, a_i=b_i, a_i->p_i, p_0..p_{k-1}->z: the minimal bodies
+        # for z replace each p_i by p_i, a_i or b_i, plus {q}
+        f = parse_formula([f"q->a{i}" for i in range(k)]
+                          + [f"a{i}=b{i}" for i in range(k)]
+                          + [f"a{i}->p{i}" for i in range(k)]
+                          + [",".join(f"p{i}" for i in range(k)) + "->z"])
+        u = f.universe
+        z = u.id("z")
+        expected = {Clause(z, u.mask(["q"]))} | {
+            Clause(z, u.mask(choice)) for choice in itertools.product(
+                *([f"p{i}", f"a{i}", f"b{i}"] for i in range(k)))}
+        assert len(expected) == size
+        assert _hclose(u.mask(["z"]), f.clauses) == expected
 
 
 class TestMinbodies:
