@@ -90,10 +90,17 @@ def _options(args) -> Options:
 def _run_one(source: str, case: Optional[CorpusCase], formula: Formula,
              args, options: Options) -> dict:
     universe = formula.universe
-    dropped = parse_variables(args.forget) if args.forget else []
-    if any(n not in universe for n in dropped) \
-            and args.forget.strip() in universe:
-        dropped = [args.forget.strip()]   # a lone multi-character name
+    dropped = []
+    if args.forget:
+        lone = args.forget.strip()
+        try:
+            dropped = parse_variables(args.forget)
+        except ParseError as exc:
+            if lone not in universe:
+                raise _UsageError(f"--forget: {exc}") from exc
+            dropped = [lone]
+        if any(n not in universe for n in dropped) and lone in universe:
+            dropped = [lone]   # a lone multi-character name
     unknown = [n for n in dropped if n not in universe]
     if unknown:
         raise _UsageError(f"--forget names variables not in {source}: "

@@ -108,14 +108,12 @@ def _minbodies(candidates: Iterable[Clause],
     return frozenset(kept)
 
 
-def minbodies(candidates: Iterable[Clause], context: Iterable[Clause],
-              nvars: int) -> tuple[Clause, ...]:
+def minbodies(candidates: Iterable[Clause],
+              context: Iterable[Clause]) -> tuple[Clause, ...]:
     """Subset of `candidates` still covering every candidate body.
 
     For every clause B' -> x of the input there is a kept clause B'' -> x
-    such that the context together with B' entails B''.  `nvars` is not
-    used; the signature is kept for existing callers.
+    such that the context together with B' entails B''.
     """
-    ctx = tuple(context)
-    result = _minbodies(candidates, ctx)
+    result = _minbodies(candidates, tuple(context))
     return tuple(sorted(result, key=clause_key))

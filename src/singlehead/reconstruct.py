@@ -5,9 +5,11 @@ The driver processes the distinct clause bodies of the input in increasing
 body order.  For each body it derives the set of heads still to be covered,
 builds the pool of minimal candidate clauses for those heads, and searches
 the head-to-body assignments for one that makes the formula under
-construction reproduce, on this body, exactly the minimal consequences of
-the input.  Failure of any iteration is definitive: the input has no
-single-head equivalent.  Success of all iterations yields one.
+construction reproduce, on this body, exactly the consequences of the
+input: the clauses that fire from the body derive the input's variables and
+entail every input clause used there, with no closure per candidate.
+Failure of any iteration is definitive: the input has no single-head
+equivalent.  Success of all iterations yields one.
 
 Three pluggable rejection filters and the candidate-pool reduction can be
 switched off independently; they only prune work, never change verdicts.
@@ -249,22 +251,34 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
 
 
 def check_accept(state: ReconstructionState, body: int,
-                 with_candidate: Sequence[Clause],
-                 target: frozenset[Clause]) -> bool:
+                 with_candidate: Sequence[Clause]) -> bool:
     """The deciding test for one candidate.
 
-    The candidate is accepted when the formula under construction plus the
-    candidate has, from this body, the same derived variables, and the same
-    body-minimal consequences over them, as the input formula.  `target` is
-    that closure on the input side, computed once per iteration.  Clauses
-    never repeat: the candidate has one per head, none headed in `g`.
+    Accept when the formula under construction plus the candidate derives,
+    from this body, the input's variables (`rcn`), and its clauses that fire
+    (`usable`) entail every input clause that fires (`ucl`).  This decides
+    as `_hclose(rcn, usable) == _hclose(rcn, ucl)` would:
+
+    - `ucl` entails every clause of `usable`: candidate clauses come from
+      `_hclose(heads, ucl)`, and the input entails `g`, so every derived
+      variable lies in `bcn`, and a firing `g` clause, its body inside
+      `bcn`, follows from the input clauses with bodies inside `bcn`: `ucl`.
+    - So the closures are equal exactly when `usable` entails each `ucl`
+      clause.  Then the two sets are equivalent; conversely each `ucl`
+      clause, headed in `rcn`, contains the body of a same-head clause of
+      `_hclose(rcn, usable)`, which `usable` entails.
+
+    Each entailment test is one linear `propagate` pass.  Clauses never
+    repeat: the candidate has one per head, none headed in `g`.
     """
+    analysis = state.analyses[body]
     clauses = tuple(c for c in with_candidate if not c.is_tautology())
     _, fired, fired_at = propagate(clauses, body)
-    if fired != state.analyses[body].rcn_mask:
+    if fired != analysis.rcn_mask:
         return False
     usable = tuple(clauses[i] for i in fired_at)
-    return _hclose(fired, usable) == target
+    return all(propagate(usable, c.body)[0] >> c.head & 1
+               for c in analysis.ucl)
 
 
 def apply_iteration(state: ReconstructionState, body: int,
@@ -292,8 +306,6 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     analysis = state.analyses[body]
     heads = compute_heads(state, body)
     pool, reduced = candidate_space(state, body, options.minbodies)
-    rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
-    target = pool | rest
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
     head_ids = bit_ids(heads)
     free = ~state.g_body_vars
@@ -310,10 +322,12 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
         accepted=None,
     )
 
-    if options.body_coverage and not filter_body_coverage(
-            _body_vars(c.body for c in rest) & free & ~need):
-        hits["body_coverage"] += 1
-        return trace, "body_coverage"
+    if options.body_coverage:
+        rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
+        if not filter_body_coverage(
+                _body_vars(c.body for c in rest) & free & ~need):
+            hits["body_coverage"] += 1
+            return trace, "body_coverage"
     if options.head_reachability and not filter_maxit(state, body, heads):
         hits["head_reachability"] += 1
         return trace, "head_reachability"
@@ -333,7 +347,7 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
             hits["consequence_equality"] += 1
             continue
         candidate = tuple(map(Clause, head_ids, bodies))
-        if check_accept(state, body, state.g + list(candidate), target):
+        if check_accept(state, body, state.g + list(candidate)):
             trace.accepted = candidate
             return trace, None
     return trace, _EXHAUSTED

@@ -3,13 +3,16 @@
 These deliberately avoid the shipped code paths: the fixpoint here is a
 naive repeated scan, the closure oracle enumerates every body and keeps
 the minimal ones by comparing every pair, and model sets come from full
-truth-table enumeration.
+truth-table enumeration.  The one exception is `closure_equality_accept`,
+the earlier acceptance rule, which compares closures built by the shipped
+`_hclose` (itself checked against `brute_hclose`).
 """
 
 from __future__ import annotations
 
 import itertools
 
+from singlehead.closure import _hclose
 from singlehead.formula import Clause, Formula, all_bodies, bit_ids, clause_key
 
 
@@ -31,6 +34,19 @@ def naive_propagate(clauses, seed: int) -> tuple[int, int, set[int]]:
     for i in fired:
         heads |= 1 << clauses[i][0]
     return closure, heads, fired
+
+
+def closure_equality_accept(state, body: int, with_candidate) -> bool:
+    """Acceptance by equal head-bounded closures: the non-tautological
+    clauses of `with_candidate` that fire from the body derive the input's
+    variables, and their closure over those variables is the input's."""
+    analysis = state.analyses[body]
+    clauses = [c for c in with_candidate if not c.is_tautology()]
+    _, fired, fired_at = naive_propagate(clauses, body)
+    if fired != analysis.rcn_mask:
+        return False
+    usable = [clauses[i] for i in fired_at]
+    return _hclose(fired, usable) == _hclose(analysis.rcn_mask, analysis.ucl)
 
 
 def naive_bcn(f: Formula, seed: int) -> int:

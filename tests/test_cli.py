@@ -68,6 +68,15 @@ class TestExitCodes:
         assert "z" in err
         assert out == ""
 
+    def test_forget_text_no_reading_resolves_is_one_usage_error(
+            self, corpus_dir):
+        code, out, err = run(["-t", corpus_dir, "--forget", "Q"])
+        assert code == 64
+        assert out == ""
+        assert err.splitlines() == [
+            "usage error: --forget: bad variable letter 'Q' in 'Q' "
+            "at position 0"]
+
     def test_expect_mismatch_seventy(self, tmp_path):
         lying = tmp_path / "lying.txt"
         lying.write_text("a->c\nb->c\n% expect: single-head\n")
@@ -204,6 +213,13 @@ class TestModes:
         code, _, err = run(["-f", "foo,->a", "a->b", "--forget", "fo"])
         assert code == 64
         assert "f,o" in err
+
+    def test_forget_lone_name_the_letter_reading_rejects(self):
+        code, out, _ = run(["--json", "-f", "Foo,->a", "a->b",
+                            "--forget", "Foo"])
+        assert code == 0
+        assert json.loads(out)["results"][0]["forget"] == {
+            "kept": ["a", "b"], "output": ["a->b"]}
 
     def test_repeated_formula_flag_extends(self):
         code, out, _ = run(["--json", "-f", "a->b", "-f", "b->c"])

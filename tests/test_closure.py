@@ -155,7 +155,7 @@ class TestMinbodies:
         candidates = [cl(u, "bhe", "x"), cl(u, "che", "x"), cl(u, "cde", "x")]
         context = [cl(u, "bh", "c"), cl(u, "ch", "b"), cl(u, "ch", "d"),
                    cl(u, "x", "h")]
-        assert minbodies(candidates, context, len(u)) == (cl(u, "cde", "x"),)
+        assert minbodies(candidates, context) == (cl(u, "cde", "x"),)
 
     def test_identity_satisfies_contract(self):
         u = Universe("abcdx")
@@ -168,14 +168,14 @@ class TestMinbodies:
     def test_no_cross_entailment_without_context(self):
         u = Universe("abcdx")
         candidates = [cl(u, "ab", "x"), cl(u, "cd", "x")]
-        assert set(minbodies(candidates, [], len(u))) == set(candidates)
+        assert set(minbodies(candidates, [])) == set(candidates)
 
     def test_contract_on_random_inputs(self):
         for f in sample_formulas(5, 80, 6, 3, seed=111):
             n = len(f.universe)
             context = f.clauses[::2]
             candidates = _hclose((1 << n) - 1, f.clauses)
-            reduced = minbodies(candidates, context, n)
+            reduced = minbodies(candidates, context)
             assert set(reduced) <= set(candidates)
             ctx = Formula(f.universe, context)
             for c in candidates:
@@ -187,7 +187,7 @@ class TestMinbodies:
         u = Universe("abx")
         candidates = [cl(u, "b", "x"), cl(u, "a", "x")]
         context = [cl(u, "a", "b"), cl(u, "b", "a")]
-        assert minbodies(candidates, context, len(u)) == (cl(u, "a", "x"),)
+        assert minbodies(candidates, context) == (cl(u, "a", "x"),)
 
     def test_kept_set_matches_sink_class_reference(self):
         dropped = 0
@@ -196,7 +196,7 @@ class TestMinbodies:
                 n = len(f.universe)
                 context = f.clauses[::every]
                 candidates = _hclose((1 << n) - 1, f.clauses)
-                reduced = set(minbodies(candidates, context, n))
+                reduced = set(minbodies(candidates, context))
                 assert reduced == naive_minbodies(
                     candidates, Formula(f.universe, context)), \
                     f.clause_texts()

@@ -1,11 +1,15 @@
-import pytest
+import importlib
 
-from helpers import naive_bcn
+import pytest
+from hypothesis import given, settings
+
+from conftest import formulas
+from helpers import closure_equality_accept, naive_bcn
 
 from singlehead.closure import _hclose
 from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
                                 body_equiv, body_lt, is_single_head,
-                                parse_formula)
+                                parse_formula, propagate)
 from singlehead.oracle import formulas_equivalent, sample_formulas
 from singlehead.reconstruct import (Inconclusive, NotSingleHead, Options,
                                     Success, _body_vars, apply_iteration,
@@ -233,18 +237,21 @@ class TestFilters:
 
 
 class TestCheckAccept:
-    def test_direct_equality_of_closures(self):
+    def test_used_clauses_entail_every_input_clause(self):
         f = parse_formula(["a->b", "b->a"])
         state = new_state(f)
         body = f.universe.mask("a")
-        analysis = state.analyses[body]
-        heads = compute_heads(state, body)
-        target = _hclose(heads, analysis.ucl) \
-            | _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
         half = [Clause(f.universe.id("b"), f.universe.mask("a"))]
         both = half + [Clause(f.universe.id("a"), f.universe.mask("b"))]
-        assert not check_accept(state, body, half, target)
-        assert check_accept(state, body, both, target)
+        assert not check_accept(state, body, half)
+        assert check_accept(state, body, both)
+        # from `a` the star derives `a`, `b` and `c` like the cycle, but
+        # does not entail `c->a`
+        f = parse_formula(["a->b", "b->c", "c->a"])
+        state = new_state(f)
+        star = parse_formula(["b->a", "a->b", "a->c"], universe=f.universe)
+        assert not check_accept(state, body, list(star.clauses))
+        assert check_accept(state, body, list(f.clauses))
 
     def test_mutual_pair_accepted(self):
         f = parse_formula(["a->b", "b->a", "bc->d"])
@@ -377,6 +384,24 @@ class TestSearchWork:
             == (1225, 601, 703, 213)
         assert not any(hits.values())
 
+    def test_no_closure_per_candidate(self, monkeypatch):
+        # 601 iterations: one pool closure each, plus the `rest` closure
+        # of filter 1's pre-check, and none per candidate
+        module = importlib.import_module("singlehead.reconstruct")
+        calls = []
+
+        def counting(heads, clauses):
+            calls.append(heads)
+            return _hclose(heads, clauses)
+
+        monkeypatch.setattr(module, "_hclose", counting)
+        for options, expected in ((Options(), 1202),
+                                  (Options(body_coverage=False), 601)):
+            calls.clear()
+            for f in sample_formulas(5, 300, 6, 2, seed=4242):
+                reconstruct(f, options)
+            assert len(calls) == expected
+
 
 class TestMultiCharacterNames:
     def test_reconstruct_and_render(self):
@@ -400,38 +425,50 @@ class TestMultiCharacterNames:
         assert out.body in ({"alpha"}, {"beta"})
 
 
+def _every_candidate(f):
+    """(state, body, g plus candidate) for the whole unreduced assignment
+    product of every iteration that `reconstruct` reaches on `f`."""
+    state = new_state(f)
+    while state.agenda:
+        body = choose_minimal_body(state)
+        heads = compute_heads(state, body)
+        pool, _ = candidate_space(state, body, reduce_pool=False)
+        pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
+        for bodies in enumerate_candidates(heads, pool_bodies,
+                                           exclude_tautological=False):
+            yield state, body, \
+                state.g + list(map(Clause, bit_ids(heads), bodies))
+        trace, failure = run_iteration(state, body, Options())
+        if failure is not None:
+            return
+        apply_iteration(state, body, trace.accepted)
+
+
 class TestAcceptFastPath:
     def test_same_decision_as_plain_closure_equality(self):
-        # the derived-variables comparison inside check_accept is only a
-        # shortcut; the plain closure comparison must decide identically
-        from singlehead.formula import propagate
+        # entailment of the input's used clauses decides exactly as
+        # comparing head-bounded closures, on every reachable iteration
+        checked = accepted = late = 0
+        for n in range(4, 8):
+            for f in sample_formulas(n, 250, n + 2, 2, seed=1300 + n):
+                for state, body, git in _every_candidate(f):
+                    decision = check_accept(state, body, git)
+                    assert decision == closure_equality_accept(
+                        state, body, git), (f.clause_texts(), body, git)
+                    checked += 1
+                    accepted += decision
+                    clauses = [c for c in git if not c.is_tautology()]
+                    late += not decision and propagate(clauses, body)[1] \
+                        == state.analyses[body].rcn_mask
+        assert checked > 10000 and accepted > 1500
+        assert late > 500   # rejected by the entailment step itself
 
-        def plain(state, body, with_candidate, target):
-            clauses = tuple(dict.fromkeys(
-                c for c in with_candidate if not c.is_tautology()))
-            _, fired, fired_at = propagate(clauses, body)
-            usable = tuple(clauses[i] for i in fired_at)
-            return _hclose(fired, usable) == target
-
-        checked = 0
-        for f in sample_formulas(4, 120, 5, 2, seed=852):
-            state = new_state(f)
-            if not state.agenda:
-                continue
-            body = choose_minimal_body(state)
-            analysis = state.analyses[body]
-            heads = compute_heads(state, body)
-            pool = _hclose(heads, analysis.ucl)
-            rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
-            target = pool | rest
-            pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
-            for bodies in enumerate_candidates(heads, pool_bodies,
-                                               exclude_tautological=False):
-                git = state.g + list(map(Clause, bit_ids(heads), bodies))
-                assert check_accept(state, body, git, target) \
-                    == plain(state, body, git, target)
-                checked += 1
-        assert checked > 200
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(max_vars=6, max_clauses=8))
+    def test_same_decision_on_random_formulas(self, f):
+        for state, body, git in _every_candidate(f):
+            assert check_accept(state, body, git) \
+                == closure_equality_accept(state, body, git)
 
 
 class TestBudget:
