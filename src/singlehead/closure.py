@@ -4,8 +4,13 @@
 with one of those heads that the formula entails.  It works by saturating
 the clauses of the formula under resolution restricted to the target heads,
 interleaved with subsumption pruning, so the closure never grows past the
-minimal clauses.  `minbodies` then discards candidate clauses whose body
-already entails another candidate body under a context formula.
+minimal clauses.  The pruning keeps an occurrence index (`_Kept`): per
+head and per variable, the bitset of the kept slots with that head or
+holding that variable.  So a kept same-head subset, which refuses an
+insert, and the kept same-head supersets it evicts are each found by one
+mask test, not by a scan of the kept bodies.
+`minbodies` then discards candidate clauses whose body already entails
+another candidate body under a context formula.
 """
 
 from __future__ import annotations
@@ -30,23 +35,74 @@ def resolve_on_head(side: Clause, target: Clause) -> Optional[Clause]:
     return Clause(target.head, new_body)
 
 
-def _keep(kept: dict[int, set[int]], clause: Clause) -> bool:
-    """Insert into `kept` (head -> bodies) unless a kept same-head body is
-    a subset of the clause's body; evict the kept bodies strictly above it."""
-    bodies, body = kept[clause.head], clause.body
-    if any(not o & ~body for o in bodies):
-        return False
-    bodies -= {o for o in bodies if not body & ~o}
-    bodies.add(body)
+class _Kept:
+    """Kept clauses, indexed for subsumption on insert.
+
+    `clauses` lists every clause ever kept, one slot each, and `alive` is
+    the bitset of the slots still kept.  `of_head` maps a head, and `has` a
+    variable bit, to the bitset of the slots whose clause has that head, or
+    whose body holds that variable; `seen` is the union of the kept bodies.
+    Evicted slots stay in these bitsets and are masked out by `alive`.
+    """
+
+    __slots__ = ("clauses", "alive", "of_head", "has", "seen")
+
+    def __init__(self) -> None:
+        self.clauses: list[Clause] = []
+        self.alive = 0
+        self.of_head: dict[int, int] = {}
+        self.has: dict[int, int] = {}
+        self.seen = 0
+
+    def live(self) -> list[Clause]:
+        alive = self.alive
+        return [c for s, c in enumerate(self.clauses) if alive >> s & 1]
+
+
+def _keep(kept: _Kept, clause: Clause) -> bool:
+    """Insert into `kept` unless a kept same-head body is a subset of the
+    clause's body; evict the kept same-head bodies strictly above it.
+
+    Two mask tests over the live slots `same` of the clause's head answer
+    it, in one pass over `has`.  A slot holding no variable outside the
+    body is a subset: refuse when `same & ~OR(has[v] for v not in body)`
+    is nonzero.  A slot holding every variable of the body is a superset,
+    strict since no subset is kept: evict `same & AND(has[v] for v in
+    body)`, which is empty when the body holds a variable never seen.
+    """
+    head, body = clause
+    has, alive = kept.has, kept.alive
+    same = alive & kept.of_head.get(head, 0)
+    supersets = 0
+    if same:
+        outside, supersets = 0, same
+        for bit, slots in has.items():
+            if body & bit:
+                supersets &= slots
+            else:
+                outside |= slots
+        if same & ~outside:
+            return False
+        if body & ~kept.seen:
+            supersets = 0
+    slot = 1 << len(kept.clauses)
+    kept.clauses.append(clause)
+    kept.alive = alive & ~supersets | slot
+    kept.of_head[head] = kept.of_head.get(head, 0) | slot
+    kept.seen |= body
+    while body:
+        bit = body & -body
+        has[bit] = has.get(bit, 0) | slot
+        body ^= bit
     return True
 
 
 def _minimal(clauses: Iterable[Clause]) -> set[Clause]:
     """Clauses whose body is no strict superset of a same-head body."""
-    kept: dict[int, set[int]] = defaultdict(set)
+    kept = _Kept()
     for c in clauses:
         _keep(kept, c)
-    return {Clause(h, b) for h, bodies in kept.items() for b in bodies}
+    return set(kept.live())
 
 
 def minimal_clauses(clauses: Iterable[Clause]) -> tuple[Clause, ...]:
@@ -64,7 +120,7 @@ def _hclose(heads_mask: int, clauses: Sequence[Clause]) -> frozenset[Clause]:
     kept body below it, or that body.  It terminates because an evicted
     clause stays subsumed, so each clause is kept, and resolved, at most once.
     """
-    kept: dict[int, set[int]] = defaultdict(set)
+    kept = _Kept()
     stack = [c for c in clauses
              if heads_mask >> c.head & 1 and not c.is_tautology()]
     while stack:
@@ -72,8 +128,7 @@ def _hclose(heads_mask: int, clauses: Sequence[Clause]) -> frozenset[Clause]:
         if _keep(kept, target):
             stack.extend(r for side in clauses
                          if (r := resolve_on_head(side, target)) is not None)
-    return frozenset(Clause(h, b) for h, bodies in kept.items()
-                     for b in bodies)
+    return frozenset(kept.live())
 
 
 def hclose(heads: Iterable[str], f: Formula) -> tuple[Clause, ...]:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from helpers import brute_hclose, naive_bcn, naive_minbodies, naive_minimal
 
-from singlehead.closure import (_hclose, hclose, minbodies, minimal_clauses,
-                                resolve_on_head)
+from singlehead.closure import (_hclose, _keep, _Kept, hclose, minbodies,
+                                minimal_clauses, resolve_on_head)
 from singlehead.formula import (Clause, Formula, Universe, clause_key,
                                 parse_formula, propagate)
 from singlehead.oracle import sample_formulas
@@ -53,6 +53,22 @@ def raw_clause_lists(draw, nvars=5):
     return draw(st.permutations(clauses))
 
 
+# every body of 6 or 7 of 12 variables, and of 3 or 4 (about 3 in 10)
+WIDE_BODIES = [sum(1 << v for v in vs) for size in (6, 7, 3, 4)
+               for vs in itertools.combinations(range(12), size)]
+
+
+@st.composite
+def wide_clause_lists(draw):
+    """Up to 150 clauses over 12 variables and one or two heads.  Dense
+    bodies stay kept by the dozen under one head, as most pairs of them
+    are incomparable; sparse ones evict chains of them."""
+    last_head, size = draw(st.integers(0, 1)), draw(st.integers(0, 150))
+    clause = st.builds(Clause, st.integers(0, last_head),
+                       st.sampled_from(WIDE_BODIES))
+    return draw(st.lists(clause, min_size=size, max_size=size))
+
+
 class TestMinimalClauses:
     u = Universe("abcdx")
 
@@ -60,6 +76,27 @@ class TestMinimalClauses:
     @given(raw_clause_lists())
     def test_matches_naive_filter(self, clauses):
         assert minimal_clauses(clauses) == naive_minimal(clauses)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_clause_lists())
+    def test_matches_naive_filter_on_wide_heads(self, clauses):
+        assert minimal_clauses(clauses) == naive_minimal(clauses)
+
+    def test_descending_inserts_evict_down_to_empty_body(self):
+        # every body over 6 variables under head 6, largest popcount first:
+        # each level evicts the whole level above it, the empty body all;
+        # the full body under head 7 neither refuses nor is evicted by them
+        other = Clause(7, 0b111111)
+        kept = _Kept()
+        assert _keep(kept, other)
+        for size in range(6, -1, -1):
+            level = {Clause(6, sum(1 << v for v in vs))
+                     for vs in itertools.combinations(range(6), size)}
+            assert all(_keep(kept, c) for c in level)
+            assert set(kept.live()) == level | {other}
+        assert not _keep(kept, Clause(6, 0b101))
+        assert _keep(kept, Clause(7, 0b101))
+        assert kept.live() == [Clause(6, 0), Clause(7, 0b101)]
 
     def test_strict_containment_removed(self):
         kept = minimal_clauses([cl(self.u, "ac", "d"), cl(self.u, "abc", "d")])
@@ -146,6 +183,21 @@ class TestHclose:
             Clause(z, u.mask(choice)) for choice in itertools.product(
                 *([f"p{i}", f"a{i}", f"b{i}"] for i in range(k)))}
         assert len(expected) == size
+        assert _hclose(u.mask(["z"]), f.clauses) == expected
+
+    def test_flat_closure_known_by_construction(self):
+        # a_i->p_i, b_i->p_i, p_0..p_7->z: the minimal bodies for z pick one
+        # of a_i, b_i, p_i per i, 3**8 of them; a scan of the kept bodies on
+        # each insert makes this quadratic in that output
+        k = 8
+        f = parse_formula([f"a{i}->p{i}" for i in range(k)]
+                          + [f"b{i}->p{i}" for i in range(k)]
+                          + [",".join(f"p{i}" for i in range(k)) + "->z"])
+        u = f.universe
+        z = u.id("z")
+        expected = {Clause(z, u.mask(choice)) for choice in itertools.product(
+            *([f"p{i}", f"a{i}", f"b{i}"] for i in range(k)))}
+        assert len(expected) == 6561
         assert _hclose(u.mask(["z"]), f.clauses) == expected
 
 
