@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
                         help="after a successful reconstruction, forget "
                              "these variables (tokenized like a body)")
     parser.add_argument("--oracle", action="store_true",
-                        help="cross-check the verdict by exhaustive search "
+                        help="cross-check the verdict by complete search "
                              "(small universes only)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")

@@ -1,10 +1,15 @@
 """Brute-force ground truth for small instances.
 
-Equivalence by mutual clause entailment, the exhaustive single-head search
+Equivalence by mutual clause entailment, the complete single-head search
 that every reconstruction verdict is checked against, and deterministic
-generators for sweep tests.  The exhaustive search enumerates every
-single-head assignment (each variable heads no clause or one clause over
-the other variables), so it is guarded to small universes.
+generators for sweep tests.  The search tries single-head assignments
+(each variable heads no clause or one clause over the other variables)
+depth-first with a forward check: it drops a partial assignment whose
+clauses plus every option of every later variable fail to entail the
+input.  Entailment is monotone in the clause set, and the complete
+assignments are reached in `itertools.product` order, so the witness is
+the one a scan of every assignment finds first.  The search stays
+exponential, so it is guarded to small universes.
 """
 
 from __future__ import annotations
@@ -44,6 +49,19 @@ def brute_force_single_head_equivalent(
 
     Only single-head candidates whose every clause the input entails can be
     equivalent, so the per-variable options are pruned to those up front.
+    The search assigns the variables in ascending id, each over its options
+    in order (no clause first), depth-first.  It keeps a partial assignment
+    of the variables up to `v` only if its clauses plus `later[v + 1]`,
+    every option of the variables after `v`, entail every input clause (the
+    forward check); a complete assignment is accepted by the same test with
+    nothing left to add.  `later` leaves out an option whose body holds
+    another option body of the same variable: it derives nothing more.
+
+    The witness is the one a scan of every assignment in
+    `itertools.product` order finds first.  Entailment is monotone in the
+    clause set, so a dropped subtree holds no equivalent assignment; and
+    the depth-first order reaches the complete assignments in product
+    order.
     """
     universe = f.universe
     n = len(universe)
@@ -54,18 +72,35 @@ def brute_force_single_head_equivalent(
     options: list[list[Optional[int]]] = []
     for v in range(n):
         choices: list[Optional[int]] = [None]
-        choices += [body for body in all_bodies(n, without=v)
-                    if entailed[body] >> v & 1]
+        choices += [body for body, closure in entailed.items()
+                    if (closure & ~body) >> v & 1]
         options.append(choices)
     required: dict[int, int] = {}
     for c in f.clauses:
         required[c.body] = required.get(c.body, 0) | 1 << c.head
-    for combo in itertools.product(*options):
-        clauses = tuple(Clause(v, body) for v, body in enumerate(combo)
-                        if body is not None)
-        if _covers_input(clauses, required):
-            return Formula(universe, clauses)
-    return None
+    later: list[tuple[Clause, ...]] = [()] * (n + 1)
+    for v in reversed(range(n)):
+        bodies = options[v][1:]
+        later[v] = tuple(Clause(v, body) for body in bodies
+                         if not any(o & body == o != body for o in bodies)
+                         ) + later[v + 1]
+
+    def search(v: int, chosen: tuple[Clause, ...]
+               ) -> Optional[tuple[Clause, ...]]:
+        if v == n:
+            return chosen
+        for body in options[v]:
+            trial = chosen if body is None else chosen + (Clause(v, body),)
+            if _covers_input(trial + later[v + 1], required):
+                found = search(v + 1, trial)
+                if found is not None:
+                    return found
+        return None
+
+    if not _covers_input(later[0], required):
+        return None
+    clauses = search(0, ())
+    return None if clauses is None else Formula(universe, clauses)
 
 
 def _covers_input(clauses: tuple[Clause, ...],

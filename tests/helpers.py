@@ -3,9 +3,12 @@
 These deliberately avoid the shipped code paths: the fixpoint here is a
 naive repeated scan, the closure oracle enumerates every body and keeps
 the minimal ones by comparing every pair, and model sets come from full
-truth-table enumeration.  The one exception is `closure_equality_accept`,
-the earlier acceptance rule, which compares closures built by the shipped
-`_hclose` (itself checked against `brute_hclose`).
+truth-table enumeration.  Two earlier rules are kept as references and do
+use shipped code: `closure_equality_accept`, the earlier acceptance rule,
+compares closures built by the shipped `_hclose` (itself checked against
+`brute_hclose`), and `product_order_oracle`, the earlier oracle, tests
+every single-head assignment in `itertools.product` order with the
+shipped `propagate`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import itertools
 
 from singlehead.closure import _hclose
-from singlehead.formula import Clause, Formula, all_bodies, bit_ids, clause_key
+from singlehead.formula import (Clause, Formula, all_bodies, bit_ids,
+                                clause_key, closure_mask, propagate)
+from singlehead.oracle import UniverseTooLarge
 
 
 def naive_propagate(clauses, seed: int) -> tuple[int, int, set[int]]:
@@ -47,6 +52,28 @@ def closure_equality_accept(state, body: int, with_candidate) -> bool:
         return False
     usable = [clauses[i] for i in fired_at]
     return _hclose(fired, usable) == _hclose(analysis.rcn_mask, analysis.ucl)
+
+
+def product_order_oracle(f: Formula, max_vars: int):
+    """First single-head formula equivalent to `f`, or None: every
+    assignment of an entailed body or none to each variable, tried in
+    `itertools.product` order until one entails every input clause."""
+    n = len(f.universe)
+    if n > max_vars:
+        raise UniverseTooLarge(f"{n} variables; guarded to {max_vars}")
+    options = [[None] + [body for body in all_bodies(n, without=v)
+                         if closure_mask(f, body) >> v & 1]
+               for v in range(n)]
+    required: dict[int, int] = {}
+    for c in f.clauses:
+        required[c.body] = required.get(c.body, 0) | 1 << c.head
+    for combo in itertools.product(*options):
+        clauses = tuple(Clause(v, body) for v, body in enumerate(combo)
+                        if body is not None)
+        if all(not heads & ~propagate(clauses, body)[0]
+               for body, heads in required.items()):
+            return Formula(f.universe, clauses)
+    return None
 
 
 def naive_bcn(f: Formula, seed: int) -> int:

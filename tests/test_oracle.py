@@ -1,8 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from singlehead.formula import Formula, Universe, is_single_head, parse_formula
+from conftest import formulas
+from helpers import product_order_oracle
+
+from singlehead import oracle
+from singlehead.formula import (Clause, Formula, Universe, is_single_head,
+                                parse_formula)
 from singlehead.oracle import (UniverseTooLarge,
                                brute_force_single_head_equivalent,
                                enumerate_small_formulas, formulas_equivalent,
@@ -62,6 +68,64 @@ class TestBruteForce:
     def test_agrees_with_reconstruction(self):
         for f in sample_formulas(4, 120, 5, 2, seed=66):
             witness = brute_force_single_head_equivalent(f)
+            expected = "single-head" if witness is not None \
+                else "not-single-head"
+            assert reconstruct(f).verdict == expected
+
+    def test_search_is_pruned(self, monkeypatch):
+        # One forward check per node tried, over criterion 4's draw: a
+        # search that prunes less makes more of them.
+        calls = 0
+        covers = oracle._covers_input
+
+        def counted(clauses, required):
+            nonlocal calls
+            calls += 1
+            return covers(clauses, required)
+
+        monkeypatch.setattr(oracle, "_covers_input", counted)
+        for f in sample_formulas(5, 1000, 6, 2, seed=20260810):
+            brute_force_single_head_equivalent(f)
+        assert calls == 38534
+
+
+class TestProductOrderWitness:
+    """The depth-first search returns what a scan of every assignment in
+    `itertools.product` order returns: the same formula, or None."""
+
+    def test_random_small_formulas(self):
+        for f in sample_formulas(4, 300, 5, 2, seed=88):
+            assert brute_force_single_head_equivalent(f) == \
+                product_order_oracle(f, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_vars=5))
+    def test_random_formulas(self, f):
+        assert brute_force_single_head_equivalent(f) == \
+            product_order_oracle(f, 5)
+
+    @pytest.mark.parametrize("f", [
+        Formula(Universe(""), []),
+        Formula(Universe("a"), []),
+        Formula(Universe("a"), [Clause(0, 0b1)]),
+        Formula(Universe("ab"), [Clause(0, 0b11), Clause(1, 0b1)]),
+    ], ids=["no-variables", "one-variable", "one-variable-tautology",
+            "tautology-and-clause"])
+    def test_edge_cases(self, f):
+        witness = brute_force_single_head_equivalent(f)
+        assert witness == product_order_oracle(f, 5)
+        assert witness is not None and formulas_equivalent(witness, f)
+
+
+class TestOracleReach:
+    """Past the default guard of 5 variables, passed explicitly: the oracle
+    and `reconstruct` agree on random formulas."""
+
+    @pytest.mark.parametrize("nvars,max_clauses,seed", [
+        (6, 6, 606), (7, 7, 707)])
+    def test_agrees_with_reconstruction(self, nvars, max_clauses, seed):
+        for f in sample_formulas(nvars, 300, max_clauses, 2, seed=seed):
+            witness = brute_force_single_head_equivalent(f, max_vars=nvars)
             expected = "single-head" if witness is not None \
                 else "not-single-head"
             assert reconstruct(f).verdict == expected
