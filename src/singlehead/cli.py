@@ -205,6 +205,9 @@ def run_cli(argv: Optional[Sequence[str]] = None,
             raise _UsageError("nothing to do: pass -f items or -t files")
         if args.budget is not None and args.budget < 1:
             raise _UsageError("--budget must be at least 1")
+        forget = args.forget
+        if forget is not None and not forget.replace(",", " ").strip():
+            raise _UsageError("--forget names no variables")
         options = _options(args)
         files: list[Optional[str]] = [None] if args.formula else []
         for path in args.testfile or []:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .formula import (Clause, Formula, Universe, all_bodies, clause_key,
                       closure_mask, letters, propagate)
@@ -30,16 +30,8 @@ def formulas_equivalent(f: Formula, g: Formula) -> bool:
     """Mutual entailment of every clause, over a shared universe."""
     if f.universe != g.universe:
         raise ValueError("formulas must share a universe")
-    return _entails_all(f, g.clauses) and _entails_all(g, f.clauses)
-
-
-def _entails_all(f: Formula, clauses) -> bool:
-    for c in clauses:
-        if c.is_tautology():
-            continue
-        if not closure_mask(f, c.body) >> c.head & 1:
-            return False
-    return True
+    return _covers_input(f.clauses, _required(g)) \
+        and _covers_input(g.clauses, _required(f))
 
 
 def brute_force_single_head_equivalent(
@@ -75,9 +67,7 @@ def brute_force_single_head_equivalent(
         choices += [body for body, closure in entailed.items()
                     if (closure & ~body) >> v & 1]
         options.append(choices)
-    required: dict[int, int] = {}
-    for c in f.clauses:
-        required[c.body] = required.get(c.body, 0) | 1 << c.head
+    required = _required(f)
     later: list[tuple[Clause, ...]] = [()] * (n + 1)
     for v in reversed(range(n)):
         bodies = options[v][1:]
@@ -103,8 +93,17 @@ def brute_force_single_head_equivalent(
     return None if clauses is None else Formula(universe, clauses)
 
 
-def _covers_input(clauses: tuple[Clause, ...],
+def _required(f: Formula) -> dict[int, int]:
+    """The heads of `f`'s clauses, as a mask per body."""
+    required: dict[int, int] = {}
+    for c in f.clauses:
+        required[c.body] = required.get(c.body, 0) | 1 << c.head
+    return required
+
+
+def _covers_input(clauses: Sequence[Clause],
                   required: dict[int, int]) -> bool:
+    """`clauses` entail every clause of a `_required` table."""
     for body, heads in required.items():
         if heads & ~propagate(clauses, body)[0]:
             return False

@@ -3,13 +3,13 @@ single-head formula and build that formula when it is.
 
 The driver processes the distinct clause bodies of the input in increasing
 body order.  For each body it derives the set of heads still to be covered,
-builds the pool of minimal candidate clauses for those heads, and searches
-the head-to-body assignments for one that makes the formula under
-construction reproduce, on this body, exactly the consequences of the
-input: the clauses that fire from the body derive the input's variables and
-entail every input clause used there, with no closure per candidate.
-Failure of any iteration is definitive: the input has no single-head
-equivalent.  Success of all iterations yields one.
+builds the pool of minimal candidate clauses for those heads, reduced under
+the formula built so far, and searches the head-to-body assignments for one
+with which the formula under construction entails every input clause that
+fires from the body: one linear forward-chaining pass per input clause,
+with no closure per candidate.  Failure of any iteration is definitive:
+the input has no single-head equivalent.  Success of all iterations yields
+one.
 
 Three pluggable rejection filters and the candidate-pool reduction can be
 switched off independently; they only prune work, never change verdicts.
@@ -114,10 +114,10 @@ class ReconstructionState:
     """Mutable state of one reconstruction run.
 
     `g` is the formula under construction (at most one clause per head,
-    never a tautology), `agenda` the distinct input bodies still pending,
-    and `used` the accumulated analyzed clauses of the processed bodies,
-    which stands in for the strictly-entailed part of the input when
-    reducing candidate pools.
+    never a tautology) and `agenda` the distinct input bodies still
+    pending.  After each accepted iteration `g` is equivalent to the union
+    of the processed bodies' `ucl`: `check_accept` made `g` entail each of
+    them, and every clause of `g` comes from a pool closure of one of them.
     """
 
     formula: Formula
@@ -126,7 +126,6 @@ class ReconstructionState:
     g: list[Clause] = field(default_factory=list)
     g_heads: int = 0
     g_body_vars: int = 0
-    used: set[Clause] = field(default_factory=set)
 
     def g_formula(self) -> Formula:
         return Formula(self.formula.universe, self.g)
@@ -167,14 +166,18 @@ def candidate_space(state: ReconstructionState, body: int,
                     reduce_pool: bool = True
                     ) -> tuple[frozenset[Clause], frozenset[Clause]]:
     """The minimal candidate clauses for this body's heads, and their
-    reduction under the clauses already known to lie strictly below."""
+    reduction under the formula under construction `g`.
+
+    `g` is equivalent to the union of the processed bodies' `ucl`, and a
+    pool body's closure under that union, inside this body's `bcn`, fires
+    only clauses of this body's `ucl`.  So the reduction is the one under
+    the processed input clauses that fire from this body.
+    """
     heads = compute_heads(state, body)
-    analysis = state.analyses[body]
-    pool = _hclose(heads, analysis.ucl)
+    pool = _hclose(heads, state.analyses[body].ucl)
     if not reduce_pool:
         return pool, pool
-    context = tuple(c for c in analysis.ucl if c in state.used)
-    return pool, _minbodies(pool, context)
+    return pool, _minbodies(pool, state.g)
 
 
 def enumerate_candidates(heads: int, pool_bodies: Sequence[int],
@@ -207,16 +210,16 @@ def _body_vars(bodies: Iterable[int]) -> int:
 
 
 def filter_body_coverage(need: int, bodies: Iterable[int] = ()) -> bool:
-    """Necessary condition on body variables: the candidate's body masks
+    """Necessary condition on body variables: the body masks `bodies`
     supply every variable in `need`.
 
     The minimal consequences of this body can only be rebuilt from body
     variables that appear in the formula under construction or in the
-    candidate clauses.  Before the search no candidate is passed, and
-    `need` holds the body variables of already-headed consequences that lie
-    in neither the formula under construction nor any pool body, so that
-    no candidate can supply them.  Per candidate, `need` holds the pool's
-    body variables missing from the formula under construction.
+    candidate clauses, so `need` holds variables missing from the formula
+    under construction.  Before the search it holds those of the
+    already-headed consequences, and `bodies` are the pool's: no candidate
+    supplies a variable outside them.  Per candidate it holds those of the
+    pool, and `bodies` are the candidate's.
     """
     return not need & ~_body_vars(bodies)
 
@@ -251,34 +254,25 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
 
 
 def check_accept(state: ReconstructionState, body: int,
-                 with_candidate: Sequence[Clause]) -> bool:
-    """The deciding test for one candidate.
+                 with_candidate: Sequence[tuple[int, int]]) -> bool:
+    """The deciding test for one candidate: the formula under construction
+    plus the candidate, as `(head, body)` pairs, entails every input clause
+    that fires from the body (`ucl`), one linear `propagate` pass each.
 
-    Accept when the formula under construction plus the candidate derives,
-    from this body, the input's variables (`rcn`), and its clauses that fire
-    (`usable`) entail every input clause that fires (`ucl`).  This decides
-    as `_hclose(rcn, usable) == _hclose(rcn, ucl)` would:
-
-    - `ucl` entails every clause of `usable`: candidate clauses come from
-      `_hclose(heads, ucl)`, and the input entails `g`, so every derived
-      variable lies in `bcn`, and a firing `g` clause, its body inside
-      `bcn`, follows from the input clauses with bodies inside `bcn`: `ucl`.
-    - So the closures are equal exactly when `usable` entails each `ucl`
-      clause.  Then the two sets are equivalent; conversely each `ucl`
-      clause, headed in `rcn`, contains the body of a same-head clause of
-      `_hclose(rcn, usable)`, which `usable` entails.
-
-    Each entailment test is one linear `propagate` pass.  Clauses never
-    repeat: the candidate has one per head, none headed in `g`.
+    With `bcn` the body's closure under the input and `rcn` the heads of
+    the `ucl` clauses, this decides as `_hclose(rcn, usable) ==
+    _hclose(rcn, ucl)` over the non-tautological clauses that fire from the
+    body (`usable`).  The input entails every clause of `g` and of the
+    candidate, so such a clause has its head in `rcn`, and a closure from a
+    seed inside `bcn` stays inside it.  When the test passes, the closure
+    from the body is `bcn`; only `usable` fires inside `bcn`, so it carries
+    every derivation of a `ucl` clause, and it derives `rcn`, as each `rcn`
+    variable heads a `ucl` clause, none a tautology.  The converse is
+    monotonicity.  A tautological candidate clause (filter 1 off) never
+    changes a closure.
     """
-    analysis = state.analyses[body]
-    clauses = tuple(c for c in with_candidate if not c.is_tautology())
-    _, fired, fired_at = propagate(clauses, body)
-    if fired != analysis.rcn_mask:
-        return False
-    usable = tuple(clauses[i] for i in fired_at)
-    return all(propagate(usable, c.body)[0] >> c.head & 1
-               for c in analysis.ucl)
+    return all(propagate(with_candidate, c.body)[0] >> c.head & 1
+               for c in state.analyses[body].ucl)
 
 
 def apply_iteration(state: ReconstructionState, body: int,
@@ -290,7 +284,6 @@ def apply_iteration(state: ReconstructionState, body: int,
     for c in accepted:
         state.g_heads |= 1 << c.head
         state.g_body_vars |= c.body
-    state.used.update(analysis.ucl)
     state.agenda = [p for p in state.agenda
                     if state.analyses[p].bcn_mask != analysis.bcn_mask]
 
@@ -324,8 +317,8 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
 
     if options.body_coverage:
         rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
-        if not filter_body_coverage(
-                _body_vars(c.body for c in rest) & free & ~need):
+        if not filter_body_coverage(_body_vars(c.body for c in rest) & free,
+                                    (c.body for c in pool)):
             hits["body_coverage"] += 1
             return trace, "body_coverage"
     if options.head_reachability and not filter_maxit(state, body, heads):
@@ -341,14 +334,13 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
         if options.body_coverage and not filter_body_coverage(need, bodies):
             hits["body_coverage"] += 1
             continue
+        with_candidate = state.g + list(zip(head_ids, bodies))
         if options.consequence_equality and not filter_rcn_equality(
-                state, body, state.g + list(zip(head_ids, bodies)),
-                pool_bodies):
+                state, body, with_candidate, pool_bodies):
             hits["consequence_equality"] += 1
             continue
-        candidate = tuple(map(Clause, head_ids, bodies))
-        if check_accept(state, body, state.g + list(candidate)):
-            trace.accepted = candidate
+        if check_accept(state, body, with_candidate):
+            trace.accepted = tuple(map(Clause, head_ids, bodies))
             return trace, None
     return trace, _EXHAUSTED
 
@@ -360,6 +352,10 @@ def reconstruct(f: Formula, options: Optional[Options] = None) -> Outcome:
     to the input, or `NotSingleHead` with the body whose iteration failed
     and why.  With a candidate budget set, running out of budget gives
     `Inconclusive` instead of a verdict.
+
+    A `Success` is equivalent to its input: the input entails every clause
+    of `g`, and every input clause lies in the `ucl` of its body's class,
+    which `g` entails once that class is processed.
     """
     options = options or Options()
     state = new_state(f)

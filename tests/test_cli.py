@@ -77,6 +77,14 @@ class TestExitCodes:
             "usage error: --forget: bad variable letter 'Q' in 'Q' "
             "at position 0"]
 
+    @pytest.mark.parametrize("text", ["", " ", ",", " , "])
+    def test_forget_naming_no_variable_sixty_four(self, text):
+        code, out, err = run(["-f", "a->b", "--forget", text])
+        assert code == 64
+        assert out == ""
+        assert err.splitlines() == [
+            "usage error: --forget names no variables"]
+
     def test_expect_mismatch_seventy(self, tmp_path):
         lying = tmp_path / "lying.txt"
         lying.write_text("a->c\nb->c\n% expect: single-head\n")

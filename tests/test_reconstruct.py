@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from conftest import formulas
 from helpers import closure_equality_accept, naive_bcn
 
-from singlehead.closure import _hclose
+from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
                                 body_equiv, body_lt, is_single_head,
                                 parse_formula, propagate)
@@ -425,12 +425,26 @@ class TestMultiCharacterNames:
         assert out.body in ({"alpha"}, {"beta"})
 
 
+def _reduction_contexts(f):
+    """(state, body, processed) before every iteration that `reconstruct`
+    reaches on `f`, where `processed` is the union of the processed bodies'
+    `ucl`."""
+    state = new_state(f)
+    processed = set()
+    while state.agenda:
+        body = choose_minimal_body(state)
+        yield state, body, processed
+        trace, failure = run_iteration(state, body, Options())
+        if failure is not None:
+            return
+        apply_iteration(state, body, trace.accepted)
+        processed |= set(state.analyses[body].ucl)
+
+
 def _every_candidate(f):
     """(state, body, g plus candidate) for the whole unreduced assignment
     product of every iteration that `reconstruct` reaches on `f`."""
-    state = new_state(f)
-    while state.agenda:
-        body = choose_minimal_body(state)
+    for state, body, _ in _reduction_contexts(f):
         heads = compute_heads(state, body)
         pool, _ = candidate_space(state, body, reduce_pool=False)
         pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
@@ -438,10 +452,6 @@ def _every_candidate(f):
                                            exclude_tautological=False):
             yield state, body, \
                 state.g + list(map(Clause, bit_ids(heads), bodies))
-        trace, failure = run_iteration(state, body, Options())
-        if failure is not None:
-            return
-        apply_iteration(state, body, trace.accepted)
 
 
 class TestAcceptFastPath:
@@ -469,6 +479,42 @@ class TestAcceptFastPath:
         for state, body, git in _every_candidate(f):
             assert check_accept(state, body, git) \
                 == closure_equality_accept(state, body, git)
+
+
+class TestReductionContext:
+    """The pool is reduced under `g`, which stands for the processed input
+    clauses that fire from the body: `g` is equivalent to the union of the
+    processed bodies' `ucl`, and reducing under it gives what reducing
+    under that union's part in this body's `ucl` gives."""
+
+    def _check(self, f):
+        u = f.universe
+        shrunk = 0
+        for state, body, processed in _reduction_contexts(f):
+            g = Formula(u, state.g)
+            union = Formula(u, processed)
+            assert all(naive_bcn(union, c.body) >> c.head & 1
+                       for c in g.clauses), f.clause_texts()
+            assert all(naive_bcn(g, c.body) >> c.head & 1
+                       for c in union.clauses), f.clause_texts()
+            context = tuple(c for c in state.analyses[body].ucl
+                            if c in processed)
+            pool, reduced = candidate_space(state, body)
+            assert reduced == _minbodies(pool, context), \
+                (f.clause_texts(), body)
+            shrunk += reduced != _minbodies(pool, ())
+        return shrunk
+
+    def test_sampled_formulas(self):
+        shrunk = sum(self._check(f) for n in range(4, 8)
+                     for f in sample_formulas(n, 250, n + 2, 2,
+                                              seed=1700 + n))
+        assert shrunk > 20   # the context does reduce pools
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(max_vars=6, max_clauses=8))
+    def test_random_formulas(self, f):
+        self._check(f)
 
 
 class TestBudget:
