@@ -48,6 +48,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # `->a` is a formula item with an empty body, not an option
+        if arg_string.startswith("->"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+class _Once(argparse.Action):
+    """Store the value; a second use of the option is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {option_string}: given more than once")
+        setattr(namespace, self.dest, values)
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -61,7 +76,7 @@ def _build_parser() -> _Parser:
                              "(repeatable)")
     parser.add_argument("-t", "--testfile", nargs="+", metavar="PATH",
                         help="corpus file, or directory of .txt files")
-    parser.add_argument("--forget", metavar="VARS",
+    parser.add_argument("--forget", action=_Once, metavar="VARS",
                         help="after a successful reconstruction, forget "
                              "these variables (tokenized like a body)")
     parser.add_argument("--oracle", action="store_true",
@@ -75,7 +90,7 @@ def _build_parser() -> _Parser:
                         choices=sorted(_FILTER_FLAGS),
                         metavar="{1,2,3,minbodies}",
                         help="disable one search optimization (repeatable)")
-    parser.add_argument("--budget", type=int, metavar="N",
+    parser.add_argument("--budget", type=int, action=_Once, metavar="N",
                         help="per-iteration cap on candidate assignments")
     return parser
 

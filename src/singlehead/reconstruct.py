@@ -13,6 +13,15 @@ one.
 
 Three pluggable rejection filters and the candidate-pool reduction can be
 switched off independently; they only prune work, never change verdicts.
+
+Candidates are counted in canonical order, as testing each on its own
+counts them.  The search walks an iteration's assignments depth-first and
+settles every candidate extending a prefix as one block when a forward
+check shows that filter 1 or filter 3 rejects all of them; each candidate
+of the block counts toward `candidates_tested` and toward the filter that
+would have rejected it.  Both filters are monotone in the clause set, so
+the counts, where the budget runs out and the accepted candidate are those
+of the one-by-one loop.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, Optional, Sequence,
+                    Union)
 
 from .closure import _hclose, _minbodies
 from .formula import (BodyAnalysis, Clause, Formula, analyze_body, bit_ids,
@@ -180,8 +190,21 @@ def candidate_space(state: ReconstructionState, body: int,
     return pool, _minbodies(pool, state.g)
 
 
+Settle = Callable[[tuple[int, ...]], bool]
+
+
+def _per_head(heads: int, pool_bodies: Sequence[int],
+              exclude_tautological: bool) -> list[Sequence[int]]:
+    """The body options of each head, in ascending head id."""
+    if not exclude_tautological:
+        return [pool_bodies] * len(bit_ids(heads))
+    return [[b for b in pool_bodies if not b >> h & 1]
+            for h in bit_ids(heads)]
+
+
 def enumerate_candidates(heads: int, pool_bodies: Sequence[int],
-                         exclude_tautological: bool = True
+                         exclude_tautological: bool = True,
+                         settle: Optional[Settle] = None
                          ) -> Iterator[tuple[int, ...]]:
     """Assignments of one pool body to every head, as tuples of body masks
     in ascending head id; canonical order when `pool_bodies` is in
@@ -191,14 +214,36 @@ def enumerate_candidates(heads: int, pool_bodies: Sequence[int],
     `exclude_tautological` off the full Cartesian product over the pool is
     produced and tautological pairings are left to fail the acceptance
     check.
+
+    Without `settle` this is `itertools.product` over the heads' options.
+    With it the assignments are walked depth-first, heads in ascending id
+    and each head's options in order, which reaches them in the same
+    order; `settle(prefix)` is called at every nonempty proper prefix, and
+    when it returns true the assignments extending that prefix are
+    skipped.
     """
-    per_head = []
-    for h in bit_ids(heads):
-        if exclude_tautological:
-            per_head.append([b for b in pool_bodies if not b >> h & 1])
+    per_head = _per_head(heads, pool_bodies, exclude_tautological)
+    if settle is None or not per_head:
+        yield from itertools.product(*per_head)
+        return
+    last = len(per_head) - 1
+    prefix: list[int] = []
+    stack = [iter(per_head[0])]
+    while stack:
+        for b in stack[-1]:
+            if len(prefix) == last:
+                yield (*prefix, b)
+                continue
+            prefix.append(b)
+            if settle(tuple(prefix)):
+                prefix.pop()
+                continue
+            stack.append(iter(per_head[len(prefix)]))
+            break
         else:
-            per_head.append(pool_bodies)
-    yield from itertools.product(*per_head)
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
 
 def _body_vars(bodies: Iterable[int]) -> int:
@@ -288,14 +333,105 @@ def apply_iteration(state: ReconstructionState, body: int,
                     if state.analyses[p].bcn_mask != analysis.bcn_mask]
 
 
+def _block_settler(state: ReconstructionState, body: int, options: Options,
+                   trace: IterationTrace, pool_bodies: Sequence[int],
+                   need: int) -> Settle:
+    """The `settle` hook of `enumerate_candidates` for one iteration: it
+    settles the candidates extending a prefix as one block when a forward
+    check shows that filter 1 or filter 3 rejects every one of them, and
+    counts each toward the filter that rejects it when tested one by one.
+
+    Both checks are monotone in the clause set.  `covering(d, missing)`
+    is the number of completions from head `d` on whose bodies supply
+    `missing`; the candidates extending a prefix that pass filter 1 are
+    those covering what `need` still misses after the prefix bodies.
+    Filter 3 is run on the prefix clauses plus every option of the later
+    heads, a superset of each extending candidate's clauses.  The heads
+    that fire from a pool body only shrink with the clause set, and never
+    leave `rcn`: a pool body lies inside `bcn`, a clause of `g` that fires
+    inside `bcn` is entailed by the input and no tautology, so it has its
+    head in `rcn`, and the candidates' heads are this iteration's.  So a
+    variable of `rcn` missed under the superset is missed by every
+    extending candidate, and filter 3 rejects each one that filter 1
+    passes.  A block that would take `candidates_tested` past the budget
+    is not settled: the walk descends into it, and the budget runs out at
+    the candidate where it runs out one by one.
+
+    No check is made before the first candidate is tested, and the tables
+    are built at the first check: most iterations of small formulas
+    accept their first candidate, and a check costs about what testing a
+    candidate costs.
+    """
+    hits = trace.filter_hits
+    # built at the first check: the heads, their options, and from each
+    # head on the count, the body variables and the clauses of every
+    # completion
+    head_ids: list[int] = []
+    per_head: list[Sequence[int]] = []
+    leaves, supply = [1], [0]
+    later: list[list[tuple[int, int]]] = [[]]
+    memo: dict[tuple[int, int], int] = {}
+
+    def tables() -> None:
+        head_ids.extend(bit_ids(trace.heads))
+        per_head.extend(_per_head(trace.heads, pool_bodies,
+                                  options.body_coverage))
+        for h, bodies in zip(reversed(head_ids), reversed(per_head)):
+            leaves.insert(0, leaves[0] * len(bodies))
+            supply.insert(0, supply[0] | _body_vars(bodies))
+            later.insert(0, [(h, b) for b in bodies] + later[0])
+
+    def covering(d: int, missing: int) -> int:
+        if not missing:
+            return leaves[d]
+        if missing & ~supply[d]:
+            return 0
+        key = (d, missing)
+        if key not in memo:
+            memo[key] = sum(covering(d + 1, missing & ~b)
+                            for b in per_head[d])
+        return memo[key]
+
+    def settle(prefix: tuple[int, ...]) -> bool:
+        if not trace.candidates_tested:
+            return False
+        if not per_head:
+            tables()
+        d = len(prefix)
+        block = leaves[d]
+        if options.budget is not None \
+                and trace.candidates_tested + block > options.budget:
+            return False
+        passing = block
+        if options.body_coverage:
+            passing = covering(d, need & ~_body_vars(prefix))
+        if passing and (not options.consequence_equality
+                        or filter_rcn_equality(
+                            state, body,
+                            state.g + list(zip(head_ids, prefix)) + later[d],
+                            pool_bodies)):
+            return False
+        trace.candidates_tested += block
+        hits["body_coverage"] += block - passing
+        hits["consequence_equality"] += passing
+        return True
+
+    return settle
+
+
 _EXHAUSTED = "exhausted"
 _BUDGET = "budget"
 
 
 def run_iteration(state: ReconstructionState, body: int, options: Options
                   ) -> tuple[IterationTrace, Optional[str]]:
-    """Search this body's candidates; returns (trace, failure), with the
-    accepted candidate, if any, in `trace.accepted`."""
+    """Search this body's candidates in canonical order; returns (trace,
+    failure), with the accepted candidate, if any, in `trace.accepted`.
+
+    With two or more heads and filter 1 or 3 on, blocks of candidates are
+    settled by forward checks (`_block_settler`); the trace counts them
+    as testing each candidate on its own would.
+    """
     analysis = state.analyses[body]
     heads = compute_heads(state, body)
     pool, reduced = candidate_space(state, body, options.minbodies)
@@ -325,8 +461,14 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
         hits["head_reachability"] += 1
         return trace, "head_reachability"
 
+    settle = None
+    if len(head_ids) > 1 and (options.body_coverage
+                              or options.consequence_equality):
+        settle = _block_settler(state, body, options, trace, pool_bodies,
+                                need)
     for bodies in enumerate_candidates(
-            heads, pool_bodies, exclude_tautological=options.body_coverage):
+            heads, pool_bodies, exclude_tautological=options.body_coverage,
+            settle=settle):
         if options.budget is not None \
                 and trace.candidates_tested >= options.budget:
             return trace, _BUDGET

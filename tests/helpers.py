@@ -6,9 +6,11 @@ the minimal ones by comparing every pair, and model sets come from full
 truth-table enumeration.  Two earlier rules are kept as references and do
 use shipped code: `closure_equality_accept`, the earlier acceptance rule,
 compares closures built by the shipped `_hclose` (itself checked against
-`brute_hclose`), and `product_order_oracle`, the earlier oracle, tests
+`brute_hclose`), `product_order_oracle`, the earlier oracle, tests
 every single-head assignment in `itertools.product` order with the
-shipped `propagate`.
+shipped `propagate`, and `product_order_search`, the earlier candidate
+loop, runs the shipped filters and `check_accept` on every candidate one
+by one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from singlehead.closure import _hclose
 from singlehead.formula import (Clause, Formula, all_bodies, bit_ids,
                                 clause_key, closure_mask, propagate)
 from singlehead.oracle import UniverseTooLarge
+from singlehead.reconstruct import (FILTER_NAMES, IterationTrace,
+                                    _body_vars, candidate_space,
+                                    check_accept, compute_heads,
+                                    filter_body_coverage, filter_maxit,
+                                    filter_rcn_equality)
 
 
 def naive_propagate(clauses, seed: int) -> tuple[int, int, set[int]]:
@@ -74,6 +81,50 @@ def product_order_oracle(f: Formula, max_vars: int):
                for body, heads in required.items()):
             return Formula(f.universe, clauses)
     return None
+
+
+def product_order_search(state, body: int, options):
+    """`run_iteration` testing every candidate on its own, in
+    `itertools.product` order: returns (trace, failure)."""
+    analysis = state.analyses[body]
+    heads = compute_heads(state, body)
+    pool, reduced = candidate_space(state, body, options.minbodies)
+    pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
+    head_ids = bit_ids(heads)
+    free = ~state.g_body_vars
+    need = _body_vars(c.body for c in pool) & free
+    hits = dict.fromkeys(FILTER_NAMES, 0)
+    trace = IterationTrace(body, heads, len(pool), len(reduced), 0, hits,
+                           None)
+    if options.body_coverage:
+        rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
+        if not filter_body_coverage(_body_vars(c.body for c in rest) & free,
+                                    (c.body for c in pool)):
+            hits["body_coverage"] += 1
+            return trace, "body_coverage"
+    if options.head_reachability and not filter_maxit(state, body, heads):
+        hits["head_reachability"] += 1
+        return trace, "head_reachability"
+    for bodies in itertools.product(*(
+            [b for b in pool_bodies
+             if not (options.body_coverage and b >> h & 1)]
+            for h in head_ids)):
+        if options.budget is not None \
+                and trace.candidates_tested >= options.budget:
+            return trace, "budget"
+        trace.candidates_tested += 1
+        if options.body_coverage and not filter_body_coverage(need, bodies):
+            hits["body_coverage"] += 1
+            continue
+        with_candidate = state.g + list(zip(head_ids, bodies))
+        if options.consequence_equality and not filter_rcn_equality(
+                state, body, with_candidate, pool_bodies):
+            hits["consequence_equality"] += 1
+            continue
+        if check_accept(state, body, with_candidate):
+            trace.accepted = tuple(map(Clause, head_ids, bodies))
+            return trace, None
+    return trace, "exhausted"
 
 
 def naive_bcn(f: Formula, seed: int) -> int:

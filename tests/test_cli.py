@@ -85,6 +85,28 @@ class TestExitCodes:
         assert err.splitlines() == [
             "usage error: --forget names no variables"]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--forget", "a", "--forget", "b"], "--forget"),
+        (["--forget=a", "--forget", "a"], "--forget"),
+        (["--budget", "3", "--budget", "5"], "--budget"),
+    ])
+    def test_repeated_single_value_flag_sixty_four(self, argv, flag):
+        code, out, err = run(["-f", "a->b", *argv])
+        assert code == 64
+        assert out == ""
+        assert err.splitlines() == [
+            f"usage error: argument {flag}: given more than once"]
+
+    def test_empty_body_item_is_a_formula_item(self):
+        # `->a` is the canonical item of a fact: `output` prints it and
+        # `parse_formula` reads it
+        code, out, err = run(["-f", "a->b", "->a"])
+        assert (code, err) == (0, "")
+        assert "output: ->a ->b" in out
+        code, out, err = run(["--json", "-f", "->a", "a->b"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"][0]["formula"] == ["->a", "a->b"]
+
     def test_expect_mismatch_seventy(self, tmp_path):
         lying = tmp_path / "lying.txt"
         lying.write_text("a->c\nb->c\n% expect: single-head\n")

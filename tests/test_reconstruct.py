@@ -1,10 +1,13 @@
 import importlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import formulas
-from helpers import closure_equality_accept, naive_bcn
+from helpers import (closure_equality_accept, naive_bcn,
+                     product_order_search)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
@@ -23,6 +26,13 @@ from singlehead.reconstruct import (Inconclusive, NotSingleHead, Options,
 
 ALL_OFF = Options(body_coverage=False, head_reachability=False,
                   consequence_equality=False, minbodies=False)
+
+RING_PAIR = ["ab=bc", "bc=ca", "de=ef", "ef=fd", "ca=de"]
+RING_7 = ["ab=bc", "bc=cd", "cd=de", "de=ef", "ef=fg", "fg=ga"]
+RING_8 = ["ab=bc", "bc=cd", "cd=de", "de=ef", "ef=fg", "fg=gh", "gh=ha"]
+# two rings of four tied by one equivalence
+JOINED_RINGS = ["ab=bc", "bc=cd", "cd=da", "ef=fg", "fg=gh", "gh=he",
+                "da=eh"]
 
 
 def advance(f, steps, options=Options()):
@@ -384,6 +394,39 @@ class TestSearchWork:
             == (1225, 601, 703, 213)
         assert not any(hits.values())
 
+    def _calls(self, monkeypatch, items, budget=None):
+        """Outcome, and the filter 3 and `propagate` calls it took."""
+        module = importlib.import_module("singlehead.reconstruct")
+        calls = {"filter_rcn_equality": 0, "propagate": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counting)
+        out = reconstruct(parse_formula(items), Options(budget=budget))
+        monkeypatch.undo()
+        return out, calls
+
+    def test_forward_checks_on_rings(self, monkeypatch):
+        # tested one by one, ring-8 took 26,503 filter 3 and 28,202
+        # `propagate` calls, and the joined rings 89,903 and 96,780
+        out, calls = self._calls(monkeypatch, RING_8)
+        assert (out.verdict, out.report.candidates_tested) \
+            == ("single-head", 67147)
+        assert calls == {"filter_rcn_equality": 43, "propagate": 197}
+        out, calls = self._calls(monkeypatch, JOINED_RINGS, budget=200_000)
+        assert (out.verdict, out.report.candidates_tested) \
+            == ("inconclusive", 200_000)
+        assert out.report.filter_hits == {
+            "body_coverage": 110097, "head_reachability": 0,
+            "consequence_equality": 89903}
+        assert calls == {"filter_rcn_equality": 3032, "propagate": 8200}
+
+    def test_joined_rings_decided_without_budget(self):
+        out = reconstruct(parse_formula(JOINED_RINGS))
+        assert isinstance(out, NotSingleHead)
+        assert out.report.candidates_tested == 1_679_616
+
     def test_no_closure_per_candidate(self, monkeypatch):
         # 601 iterations: one pool closure each, plus the `rest` closure
         # of filter 1's pre-check, and none per candidate
@@ -515,6 +558,80 @@ class TestReductionContext:
     @given(formulas(max_vars=6, max_clauses=8))
     def test_random_formulas(self, f):
         self._check(f)
+
+
+SWITCHES = ("body_coverage", "head_reachability", "consequence_equality",
+            "minbodies")
+
+
+def _switch_combinations(budget=None):
+    for on in itertools.product((True, False), repeat=len(SWITCHES)):
+        yield Options(**dict(zip(SWITCHES, on)), budget=budget)
+
+
+def _compare_with_product_order(f, options):
+    """Every iteration `reconstruct` reaches on `f`: `run_iteration` gives
+    the trace and failure of testing each candidate on its own.  Returns
+    the traces compared."""
+    state = new_state(f)
+    traces = []
+    while state.agenda:
+        body = choose_minimal_body(state)
+        got = run_iteration(state, body, options)
+        assert got == product_order_search(state, body, options), \
+            (f.clause_texts(), body, options)
+        trace, failure = got
+        traces.append(trace)
+        if failure is not None:
+            break
+        apply_iteration(state, body, trace.accepted)
+    return traces
+
+
+class TestBlockSettling:
+    """Candidates settled as a block by a forward check are counted as
+    testing them one by one in canonical order counts them."""
+
+    def test_sampled_formulas(self, monkeypatch):
+        module = importlib.import_module("singlehead.reconstruct")
+        original = module.enumerate_candidates
+        yielded = tested = steps = 0
+
+        def counting(*args, **kwargs):
+            nonlocal yielded
+            for bodies in original(*args, **kwargs):
+                yielded += 1
+                yield bodies
+
+        monkeypatch.setattr(module, "enumerate_candidates", counting)
+        for n in range(4, 8):
+            for f in sample_formulas(n, 120, n + 4, 2, seed=1800 + n):
+                for options in _switch_combinations():
+                    traces = _compare_with_product_order(f, options)
+                    steps += len(traces)
+                    tested += sum(t.candidates_tested for t in traces)
+        assert steps > 15000
+        assert tested - yielded > 30000   # candidates settled in blocks
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_vars=6, max_clauses=8),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=40)))
+    def test_random_formulas(self, f, budget):
+        for options in _switch_combinations(budget):
+            _compare_with_product_order(f, options)
+
+    @pytest.mark.parametrize("items, budget", [
+        (RING_PAIR, 1), (RING_PAIR, 7), (RING_PAIR, 4095), (RING_PAIR, 4096),
+        (RING_7, 4855), (RING_7, 4856)],
+        ids=["pair-1", "pair-7", "pair-4095", "pair-4096", "ring7-4855",
+             "ring7-4856"])
+    def test_budget_ending_inside_a_block(self, items, budget):
+        f = parse_formula(items)
+        for options in _switch_combinations(budget):
+            _compare_with_product_order(f, options)
+        out = reconstruct(f, Options(budget=budget))
+        assert out.report.iterations[-1].candidates_tested == budget
+        assert isinstance(out, Inconclusive) == (budget not in (4096, 4856))
 
 
 class TestBudget:
