@@ -269,6 +269,34 @@ def filter_body_coverage(need: int, bodies: Iterable[int] = ()) -> bool:
     return not need & ~_body_vars(bodies)
 
 
+def rest_need(ucl: Sequence[Clause], suspects: int) -> int:
+    """The variables of `suspects` that lie in a minimal body of a clause
+    that `ucl` entails; one `propagate` per suspect in a `ucl` body.
+
+    Filter 1's pre-check needs the pool's bodies to supply the free body
+    variables of `rest`: the minimal clauses that `ucl` entails with a
+    head in `rcn` that `g` already heads.  Every other `ucl` head is one
+    of the iteration's heads, and its minimal bodies are the pool's.  So
+    with the free variables outside the pool's bodies as `suspects`, the
+    result is those that lie in `rest`'s bodies, and `rest` is not built.
+
+    `v` lies in a minimal body exactly when some `ucl` clause `B -> h`
+    with `v` in `B` has a head that `B - v` does not entail.  Then a
+    minimal body of `h` inside `B` holds `v`; `h` is not in `B`, as the
+    input is normalized.  Otherwise let a body `S` holding `v` entail a
+    head other than `v`, and let `X` be the closure of `S - v`.  `X` plus
+    `v` is closed too: a clause whose body lies in it but not in `X`
+    holds `v`, and its other body variables, inside `X`, entail its head.
+    So `S - v` entails the head, and `S` is not minimal.
+    """
+    need = 0
+    for c in ucl:
+        for v in bit_ids(c.body & suspects & ~need):
+            if not propagate(ucl, c.body & ~(1 << v))[0] >> c.head & 1:
+                need |= 1 << v
+    return need
+
+
 def filter_maxit(state: ReconstructionState, body: int, heads: int) -> bool:
     """Necessary condition on reachable heads.
 
@@ -438,7 +466,8 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
     head_ids = bit_ids(heads)
     free = ~state.g_body_vars
-    need = _body_vars(c.body for c in pool) & free
+    supply = _body_vars(c.body for c in pool)
+    need = supply & free
 
     hits = dict.fromkeys(FILTER_NAMES, 0)
     trace = IterationTrace(
@@ -452,8 +481,7 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     )
 
     if options.body_coverage:
-        rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
-        if not filter_body_coverage(_body_vars(c.body for c in rest) & free,
+        if not filter_body_coverage(rest_need(analysis.ucl, free & ~supply),
                                     (c.body for c in pool)):
             hits["body_coverage"] += 1
             return trace, "body_coverage"

@@ -8,9 +8,10 @@ use shipped code: `closure_equality_accept`, the earlier acceptance rule,
 compares closures built by the shipped `_hclose` (itself checked against
 `brute_hclose`), `product_order_oracle`, the earlier oracle, tests
 every single-head assignment in `itertools.product` order with the
-shipped `propagate`, and `product_order_search`, the earlier candidate
+shipped `propagate`, `product_order_search`, the earlier candidate
 loop, runs the shipped filters and `check_accept` on every candidate one
-by one.
+by one, and `closure_rest_need`, the earlier pre-check of filter 1,
+builds the whole `rest` closure with the shipped `_hclose`.
 """
 
 from __future__ import annotations
@@ -81,6 +82,19 @@ def product_order_oracle(f: Formula, max_vars: int):
                for body, heads in required.items()):
             return Formula(f.universe, clauses)
     return None
+
+
+def closure_rest_need(state, body: int) -> int:
+    """Filter 1's pre-check from the whole `rest` closure, the minimal
+    consequences with an already-headed head: their free body variables
+    that the pool's bodies do not supply.  It passes when there are
+    none."""
+    analysis = state.analyses[body]
+    heads = compute_heads(state, body)
+    pool, _ = candidate_space(state, body, reduce_pool=False)
+    rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
+    return _body_vars(c.body for c in rest) & ~state.g_body_vars \
+        & ~_body_vars(c.body for c in pool)
 
 
 def product_order_search(state, body: int, options):

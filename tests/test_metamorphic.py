@@ -1,0 +1,88 @@
+"""Relations between verdicts that hold at any size, checked on families
+past the brute-force oracle's reach: renaming the variables, joining two
+formulas over disjoint variables, and adding entailed clauses.
+"""
+
+import random
+
+import pytest
+
+from conftest import PADDED_PRODUCT, PRODUCT, ring
+
+from singlehead.formula import (Clause, Formula, bit_ids, is_single_head,
+                                parse_formula, propagate)
+from singlehead.oracle import formulas_equivalent
+from singlehead.reconstruct import Success, reconstruct
+
+RINGS = {n: ring(list("abcdefgh"[:n])) for n in range(3, 9)}
+FAMILIES = ({f"product-{k}": items for k, items in PRODUCT.items()}
+            | {f"padded-{k}": items for k, items in PADDED_PRODUCT.items()}
+            | {f"ring-{n}": items for n, items in RINGS.items()})
+SEEDS = range(5)
+
+
+def renamed(f: Formula, rng: random.Random) -> Formula:
+    """`f` under a random permutation of its variable ids."""
+    ids = list(range(len(f.universe)))
+    rng.shuffle(ids)
+
+    def body(mask):
+        return sum(1 << ids[v] for v in bit_ids(mask))
+
+    return Formula(f.universe,
+                   (Clause(ids[c.head], body(c.body)) for c in f.clauses))
+
+
+def padded(f: Formula, rng: random.Random, extra: int = 3) -> Formula:
+    """`f` plus `extra` new clauses it entails, on random bodies of one to
+    four variables; `f` must entail that many beyond its own."""
+    n = len(f.universe)
+    clauses = set(f.clauses)
+    while len(clauses) < len(f) + extra:
+        k = rng.randint(1, min(4, n))
+        body = sum(1 << v for v in rng.sample(range(n), k))
+        derived = bit_ids(propagate(f.clauses, body)[0] & ~body)
+        if derived:
+            clauses.add(Clause(rng.choice(derived), body))
+    return Formula(f.universe, clauses)
+
+
+def verdict(f: Formula) -> str:
+    """The verdict, after checking that a witness is single-head and
+    equivalent to `f`."""
+    out = reconstruct(f)
+    if isinstance(out, Success):
+        assert is_single_head(out.formula)
+        assert formulas_equivalent(out.formula, f), f
+    return out.verdict
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_renaming_keeps_verdict(name):
+    f = parse_formula(FAMILIES[name])
+    expected = verdict(f)
+    for seed in SEEDS:
+        assert verdict(renamed(f, random.Random(seed))) == expected, seed
+
+
+# ring-3 entails no non-tautological clause beyond its own
+@pytest.mark.parametrize("name", [name for name in FAMILIES
+                                  if name != "ring-3"])
+def test_entailed_clauses_keep_verdict(name):
+    f = parse_formula(FAMILIES[name])
+    expected = verdict(f)
+    for seed in SEEDS:
+        g = padded(f, random.Random(seed))
+        assert verdict(g) == expected, seed
+
+
+@pytest.mark.parametrize("name", [
+    "product-6", "product-8", "padded-6", "padded-8", "ring-6", "ring-7"])
+@pytest.mark.parametrize("n", [6, 7])
+def test_disjoint_union_single_head_iff_both(name, n):
+    # the ring is spelled over names that no family uses
+    other = ring([f"r{i}" for i in range(n)])
+    union = parse_formula(FAMILIES[name] + other)
+    both = all(verdict(parse_formula(items)) == "single-head"
+               for items in (FAMILIES[name], other))
+    assert (verdict(union) == "single-head") == both

@@ -1,13 +1,15 @@
+import collections
 import importlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas
-from helpers import (closure_equality_accept, naive_bcn,
-                     product_order_search)
+from conftest import PADDED_PRODUCT, PRODUCT, formulas
+from helpers import (closure_equality_accept, closure_rest_need,
+                     naive_bcn, product_order_search)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
@@ -22,7 +24,7 @@ from singlehead.reconstruct import (Inconclusive, NotSingleHead, Options,
                                     filter_body_coverage, filter_maxit,
                                     filter_rcn_equality, new_state,
                                     precompute_bodies, reconstruct,
-                                    run_iteration)
+                                    rest_need, run_iteration)
 
 ALL_OFF = Options(body_coverage=False, head_reachability=False,
                   consequence_equality=False, minbodies=False)
@@ -428,8 +430,9 @@ class TestSearchWork:
         assert out.report.candidates_tested == 1_679_616
 
     def test_no_closure_per_candidate(self, monkeypatch):
-        # 601 iterations: one pool closure each, plus the `rest` closure
-        # of filter 1's pre-check, and none per candidate
+        # 601 iterations: one pool closure each, and none per candidate;
+        # filter 1's pre-check builds no `rest` closure (when it built one
+        # per iteration, the default options took 1,202 calls)
         module = importlib.import_module("singlehead.reconstruct")
         calls = []
 
@@ -438,12 +441,81 @@ class TestSearchWork:
             return _hclose(heads, clauses)
 
         monkeypatch.setattr(module, "_hclose", counting)
-        for options, expected in ((Options(), 1202),
+        for options, expected in ((Options(), 601),
                                   (Options(body_coverage=False), 601)):
             calls.clear()
             for f in sample_formulas(5, 300, 6, 2, seed=4242):
                 reconstruct(f, options)
             assert len(calls) == expected
+
+
+RECONSTRUCT = importlib.import_module("singlehead.reconstruct")
+
+
+def _precheck_run(f, outcomes, every_body=True):
+    """`rest_need` against the whole `rest` closure at every pending body,
+    or only at the chosen one, of every state that `reconstruct` reaches
+    on `f`; tallies whether the pre-check fails."""
+    state = new_state(f)
+    while state.agenda:
+        body = choose_minimal_body(state)
+        for other in state.agenda if every_body else (body,):
+            need = closure_rest_need(state, other)
+            pool, _ = candidate_space(state, other, reduce_pool=False)
+            suspects = ~state.g_body_vars & ~_body_vars(c.body for c in pool)
+            assert rest_need(state.analyses[other].ucl, suspects) == need, \
+                (f, other)
+            outcomes[bool(need)] += 1
+        trace, failure = run_iteration(state, body, Options())
+        if failure is not None:
+            return
+        apply_iteration(state, body, trace.accepted)
+
+
+class TestRestPrecheck:
+    def test_same_need_on_samples(self):
+        outcomes = collections.Counter()
+        for n in range(3, 10):
+            for f in sample_formulas(n, 100, n + 3, 3, seed=2100 + n):
+                _precheck_run(f, outcomes)
+        assert outcomes[False] > 6000 and outcomes[True] > 500
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(max_vars=6, max_clauses=8),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 63)),
+                    max_size=3))
+    def test_same_need_on_drawn_formulas(self, f, extra):
+        # the extra clauses bring empty bodies and tautologies
+        n = len(f.universe)
+        f = Formula(f.universe, f.clauses + tuple(
+            Clause(head % n, body % (1 << n)) for head, body in extra))
+        _precheck_run(f, collections.Counter())
+
+    def test_same_need_on_products(self):
+        outcomes = collections.Counter()
+        for k in range(2, 9):
+            for items in (PRODUCT[k], PADDED_PRODUCT[k]):
+                _precheck_run(parse_formula(items), outcomes,
+                              every_body=False)
+        # it fails at the last iteration of each plain product
+        assert outcomes[True] == 7
+
+    @pytest.mark.parametrize("items, reason, iterations", [
+        (PADDED_PRODUCT[6], "head_reachability", 9),
+        (PADDED_PRODUCT[7], "head_reachability", 10),
+        (PADDED_PRODUCT[8], "head_reachability", 11),
+        (PRODUCT[8], "body_coverage", 10)],
+        ids=["padded-6", "padded-7", "padded-8", "product-8"])
+    def test_products_build_no_rest_closure(self, items, reason, iterations):
+        # the `rest` closure of the last iteration has 3**k + 7k + 1
+        # clauses (2,237 at k=7)
+        with mock.patch.object(RECONSTRUCT, "_hclose", wraps=_hclose) as spy:
+            out = reconstruct(parse_formula(items))
+        assert (out.verdict, out.reason) == ("not-single-head", reason)
+        assert out.report.filter_hits == dict(
+            dict.fromkeys(out.report.filter_hits, 0), **{reason: 1})
+        # one pool closure per iteration
+        assert len(out.report.iterations) == spy.call_count == iterations
 
 
 class TestMultiCharacterNames:
