@@ -96,7 +96,10 @@ def _build_parser() -> _Parser:
 
 
 def _options(args) -> Options:
-    options = Options(budget=args.budget)
+    try:
+        options = Options(budget=args.budget)
+    except ValueError as exc:
+        raise _UsageError(f"argument --budget: {exc}") from None
     for flag in args.no_filter:
         options = options.without(_FILTER_FLAGS[flag])
     return options
@@ -218,8 +221,6 @@ def run_cli(argv: Optional[Sequence[str]] = None,
         args = parser.parse_args(argv)
         if not args.formula and not args.testfile:
             raise _UsageError("nothing to do: pass -f items or -t files")
-        if args.budget is not None and args.budget < 1:
-            raise _UsageError("--budget must be at least 1")
         forget = args.forget
         if forget is not None and not forget.replace(",", " ").strip():
             raise _UsageError("--forget names no variables")

@@ -39,6 +39,9 @@ def load_corpus_file(path: str) -> CorpusCase:
                     raise ParseError(f"unknown directive on line {lineno}",
                                      item=line)
                 value = value.strip()
+                if expect is not None:
+                    raise ParseError(f"repeated directive 'expect' on line "
+                                     f"{lineno}", item=line)
                 if value not in EXPECT_VALUES:
                     raise ParseError(
                         f"expect must be one of {EXPECT_VALUES}", item=line)

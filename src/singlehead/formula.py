@@ -217,6 +217,9 @@ def _expand_item(item: str) -> tuple[list[str], list[tuple[list[str], str]]]:
                              len(left) + 1 + right.index("="))
         xs = _tokenize_side(left, item, 0, comma_mode)
         ys = _tokenize_side(right, item, len(left) + 1, comma_mode)
+        if not xs and not ys:
+            raise ParseError("no variable on either side of '='", item,
+                             len(left))
         pairs = [(xs, y) for y in ys if y not in xs]
         pairs += [(ys, x) for x in xs if x not in ys]
         return xs + ys, pairs

@@ -15,19 +15,17 @@ Three pluggable rejection filters and the candidate-pool reduction can be
 switched off independently; they only prune work, never change verdicts.
 
 Candidates are counted in canonical order, as testing each on its own
-counts them.  The search walks an iteration's assignments depth-first and
-settles every candidate extending a prefix as one block when a forward
-check shows that filter 1 or filter 3 rejects all of them; each candidate
-of the block counts toward `candidates_tested` and toward the filter that
-would have rejected it.  Both filters are monotone in the clause set, so
-the counts, where the budget runs out and the accepted candidate are those
-of the one-by-one loop.
+counts them.  The search walks an iteration's assignments depth-first,
+and filters 1 and 3 meet them in one check, which settles the candidates
+extending a prefix as one block when the filters reject all of them, a
+whole candidate being a block of one.  Both filters are monotone in the
+clause set, so the counts, where the budget runs out and the accepted
+candidate are those of testing each candidate on its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from typing import (Callable, Iterable, Iterator, Optional, Sequence,
                     Union)
@@ -54,6 +52,10 @@ class Options:
     consequence_equality: bool = True
     minbodies: bool = True
     budget: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
 
     def without(self, name: str) -> "Options":
         return dataclasses.replace(self, **{name: False})
@@ -137,9 +139,6 @@ class ReconstructionState:
     g_heads: int = 0
     g_body_vars: int = 0
 
-    def g_formula(self) -> Formula:
-        return Formula(self.formula.universe, self.g)
-
 
 def precompute_bodies(f: Formula) -> dict[int, BodyAnalysis]:
     """One forward-chaining analysis per distinct clause body."""
@@ -193,38 +192,32 @@ def candidate_space(state: ReconstructionState, body: int,
 Settle = Callable[[tuple[int, ...]], bool]
 
 
-def _per_head(heads: int, pool_bodies: Sequence[int],
-              exclude_tautological: bool) -> list[Sequence[int]]:
-    """The body options of each head, in ascending head id."""
+def head_options(head_ids: Sequence[int], pool_bodies: Sequence[int],
+                 exclude_tautological: bool = True) -> list[Sequence[int]]:
+    """The body options of each head, in the order of `head_ids`: the pool
+    bodies in their order, by default without those containing the head.
+    With `exclude_tautological` off every head takes every pool body, and
+    tautological pairings are left to fail the acceptance check."""
     if not exclude_tautological:
-        return [pool_bodies] * len(bit_ids(heads))
-    return [[b for b in pool_bodies if not b >> h & 1]
-            for h in bit_ids(heads)]
+        return [pool_bodies] * len(head_ids)
+    return [[b for b in pool_bodies if not b >> h & 1] for h in head_ids]
 
 
-def enumerate_candidates(heads: int, pool_bodies: Sequence[int],
-                         exclude_tautological: bool = True,
+def enumerate_candidates(per_head: Sequence[Sequence[int]],
                          settle: Optional[Settle] = None
                          ) -> Iterator[tuple[int, ...]]:
-    """Assignments of one pool body to every head, as tuples of body masks
-    in ascending head id; canonical order when `pool_bodies` is in
-    canonical body order.
+    """Assignments of one option to every head, as tuples of body masks,
+    walked depth-first: heads in order and each head's options in order,
+    which is canonical order for `head_options` over heads in ascending
+    id and pool bodies in canonical body order.
 
-    By default a head is never paired with a body containing it; with
-    `exclude_tautological` off the full Cartesian product over the pool is
-    produced and tautological pairings are left to fail the acceptance
-    check.
-
-    Without `settle` this is `itertools.product` over the heads' options.
-    With it the assignments are walked depth-first, heads in ascending id
-    and each head's options in order, which reaches them in the same
-    order; `settle(prefix)` is called at every nonempty proper prefix, and
-    when it returns true the assignments extending that prefix are
-    skipped.
+    `settle(prefix)` is called at every whole candidate and every nonempty
+    proper prefix; when it returns true the candidates extending the
+    prefix are skipped.  With no heads the one candidate is `()`.
     """
-    per_head = _per_head(heads, pool_bodies, exclude_tautological)
-    if settle is None or not per_head:
-        yield from itertools.product(*per_head)
+    if not per_head:
+        if settle is None or not settle(()):
+            yield ()
         return
     last = len(per_head) - 1
     prefix: list[int] = []
@@ -232,10 +225,12 @@ def enumerate_candidates(heads: int, pool_bodies: Sequence[int],
     while stack:
         for b in stack[-1]:
             if len(prefix) == last:
-                yield (*prefix, b)
+                candidate = (*prefix, b)
+                if settle is None or not settle(candidate):
+                    yield candidate
                 continue
             prefix.append(b)
-            if settle(tuple(prefix)):
+            if settle is not None and settle(tuple(prefix)):
                 prefix.pop()
                 continue
             stack.append(iter(per_head[len(prefix)]))
@@ -361,90 +356,107 @@ def apply_iteration(state: ReconstructionState, body: int,
                     if state.analyses[p].bcn_mask != analysis.bcn_mask]
 
 
-def _block_settler(state: ReconstructionState, body: int, options: Options,
-                   trace: IterationTrace, pool_bodies: Sequence[int],
-                   need: int) -> Settle:
-    """The `settle` hook of `enumerate_candidates` for one iteration: it
-    settles the candidates extending a prefix as one block when a forward
-    check shows that filter 1 or filter 3 rejects every one of them, and
-    counts each toward the filter that rejects it when tested one by one.
+class _BlockSettler:
+    """The `settle` hook of `enumerate_candidates` for one iteration, and
+    the one place where a candidate meets filters 1 and 3: it settles the
+    candidates extending a prefix as one block when a check shows that
+    filter 1 or filter 3 rejects every one of them, and counts each toward
+    the filter that rejects it when tested one by one.
 
-    Both checks are monotone in the clause set.  `covering(d, missing)`
-    is the number of completions from head `d` on whose bodies supply
-    `missing`; the candidates extending a prefix that pass filter 1 are
-    those covering what `need` still misses after the prefix bodies.
-    Filter 3 is run on the prefix clauses plus every option of the later
-    heads, a superset of each extending candidate's clauses.  The heads
-    that fire from a pool body only shrink with the clause set, and never
-    leave `rcn`: a pool body lies inside `bcn`, a clause of `g` that fires
-    inside `bcn` is entailed by the input and no tautology, so it has its
-    head in `rcn`, and the candidates' heads are this iteration's.  So a
-    variable of `rcn` missed under the superset is missed by every
-    extending candidate, and filter 3 rejects each one that filter 1
-    passes.  A block that would take `candidates_tested` past the budget
-    is not settled: the walk descends into it, and the budget runs out at
-    the candidate where it runs out one by one.
+    A whole candidate is a block of one: filter 1 is
+    `filter_body_coverage(need, bodies)` and filter 3 runs on its clauses.
+    At a proper prefix both checks look forward, and both are monotone in
+    the clause set.  `covering(d, missing)` is the number of completions
+    from head `d` on whose bodies supply `missing`; the candidates
+    extending a prefix that pass filter 1 are those covering what `need`
+    still misses after the prefix bodies.  Filter 3 is run on the prefix
+    clauses plus every option of the later heads, a superset of each
+    extending candidate's clauses.  The heads that fire from a pool body
+    only shrink with the clause set, and never leave `rcn`: a pool body
+    lies inside `bcn`, a clause of `g` that fires inside `bcn` is entailed
+    by the input and no tautology, so it has its head in `rcn`, and the
+    candidates' heads are this iteration's.  So a variable of `rcn` missed
+    under the superset is missed by every extending candidate, and filter
+    3 rejects each one that filter 1 passes.  A block that would take
+    `candidates_tested` past the budget is not settled: the walk goes on
+    into it, and a whole candidate past the budget is yielded unchecked,
+    for `run_iteration` to stop at it.
 
-    No check is made before the first candidate is tested, and the tables
-    are built at the first check: most iterations of small formulas
-    accept their first candidate, and a check costs about what testing a
-    candidate costs.
+    No proper prefix is checked before the first candidate is tested, and
+    the tables are built at the first such check: most iterations of small
+    formulas have one head or accept their first candidate, and a check
+    costs about what testing a candidate costs.
     """
-    hits = trace.filter_hits
-    # built at the first check: the heads, their options, and from each
-    # head on the count, the body variables and the clauses of every
-    # completion
-    head_ids: list[int] = []
-    per_head: list[Sequence[int]] = []
-    leaves, supply = [1], [0]
-    later: list[list[tuple[int, int]]] = [[]]
-    memo: dict[tuple[int, int], int] = {}
 
-    def tables() -> None:
-        head_ids.extend(bit_ids(trace.heads))
-        per_head.extend(_per_head(trace.heads, pool_bodies,
-                                  options.body_coverage))
-        for h, bodies in zip(reversed(head_ids), reversed(per_head)):
+    # built once per iteration: a slotted class builds faster than a closure
+    __slots__ = ("state", "body", "options", "trace", "head_ids", "per_head",
+                 "pool_bodies", "need", "leaves", "later", "covering")
+
+    def __init__(self, state: ReconstructionState, body: int,
+                 options: Options, trace: IterationTrace,
+                 head_ids: Sequence[int], per_head: Sequence[Sequence[int]],
+                 pool_bodies: Sequence[int], need: int) -> None:
+        self.state, self.body, self.options = state, body, options
+        self.trace, self.head_ids, self.per_head = trace, head_ids, per_head
+        self.pool_bodies, self.need = pool_bodies, need
+        self.covering: Optional[Callable[[int, int], int]] = None
+
+    def _tables(self) -> None:
+        """From each head on: the number of completions and every option
+        as a `(head, body)` pair, and `covering`."""
+        per_head = self.per_head
+        leaves, supply, later = [1], [0], [[]]
+        for h, bodies in zip(reversed(self.head_ids), reversed(per_head)):
             leaves.insert(0, leaves[0] * len(bodies))
             supply.insert(0, supply[0] | _body_vars(bodies))
             later.insert(0, [(h, b) for b in bodies] + later[0])
+        memo: dict[tuple[int, int], int] = {}
 
-    def covering(d: int, missing: int) -> int:
-        if not missing:
-            return leaves[d]
-        if missing & ~supply[d]:
-            return 0
-        key = (d, missing)
-        if key not in memo:
-            memo[key] = sum(covering(d + 1, missing & ~b)
-                            for b in per_head[d])
-        return memo[key]
+        def covering(d: int, missing: int) -> int:
+            if not missing:
+                return leaves[d]
+            if missing & ~supply[d]:
+                return 0
+            key = (d, missing)
+            if key not in memo:
+                memo[key] = sum(covering(d + 1, missing & ~b)
+                                for b in per_head[d])
+            return memo[key]
 
-    def settle(prefix: tuple[int, ...]) -> bool:
-        if not trace.candidates_tested:
-            return False
-        if not per_head:
-            tables()
+        self.leaves, self.later, self.covering = leaves, later, covering
+
+    def __call__(self, prefix: tuple[int, ...]) -> bool:
+        trace, options = self.trace, self.options
         d = len(prefix)
-        block = leaves[d]
+        whole = d == len(self.head_ids)
+        if not whole:
+            if not trace.candidates_tested:
+                return False
+            if self.covering is None:
+                self._tables()
+        block = 1 if whole else self.leaves[d]
         if options.budget is not None \
                 and trace.candidates_tested + block > options.budget:
             return False
-        passing = block
-        if options.body_coverage:
-            passing = covering(d, need & ~_body_vars(prefix))
-        if passing and (not options.consequence_equality
-                        or filter_rcn_equality(
-                            state, body,
-                            state.g + list(zip(head_ids, prefix)) + later[d],
-                            pool_bodies)):
-            return False
+        if not options.body_coverage:
+            passing = block
+        elif whole:
+            passing = int(filter_body_coverage(self.need, prefix))
+        else:
+            passing = self.covering(d, self.need & ~_body_vars(prefix))
+        if passing:
+            if not options.consequence_equality:
+                return False
+            clauses = self.state.g + list(zip(self.head_ids, prefix))
+            if not whole:
+                clauses += self.later[d]
+            if filter_rcn_equality(self.state, self.body, clauses,
+                                   self.pool_bodies):
+                return False
         trace.candidates_tested += block
-        hits["body_coverage"] += block - passing
-        hits["consequence_equality"] += passing
+        trace.filter_hits["body_coverage"] += block - passing
+        trace.filter_hits["consequence_equality"] += passing
         return True
-
-    return settle
 
 
 _EXHAUSTED = "exhausted"
@@ -456,9 +468,8 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     """Search this body's candidates in canonical order; returns (trace,
     failure), with the accepted candidate, if any, in `trace.accepted`.
 
-    With two or more heads and filter 1 or 3 on, blocks of candidates are
-    settled by forward checks (`_block_settler`); the trace counts them
-    as testing each candidate on its own would.
+    Filters 1 and 3 reject candidates, alone or in blocks, inside the walk
+    (`_BlockSettler`); a yielded candidate passes both or is past the budget.
     """
     analysis = state.analyses[body]
     heads = compute_heads(state, body)
@@ -470,46 +481,27 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     need = supply & free
 
     hits = dict.fromkeys(FILTER_NAMES, 0)
-    trace = IterationTrace(
-        body=body,
-        heads=heads,
-        pool_size=len(pool),
-        reduced_size=len(reduced),
-        candidates_tested=0,
-        filter_hits=hits,
-        accepted=None,
-    )
+    trace = IterationTrace(body, heads, len(pool), len(reduced), 0, hits,
+                           None)
 
     if options.body_coverage:
         if not filter_body_coverage(rest_need(analysis.ucl, free & ~supply),
-                                    (c.body for c in pool)):
+                                    (supply,)):
             hits["body_coverage"] += 1
             return trace, "body_coverage"
     if options.head_reachability and not filter_maxit(state, body, heads):
         hits["head_reachability"] += 1
         return trace, "head_reachability"
 
-    settle = None
-    if len(head_ids) > 1 and (options.body_coverage
-                              or options.consequence_equality):
-        settle = _block_settler(state, body, options, trace, pool_bodies,
-                                need)
-    for bodies in enumerate_candidates(
-            heads, pool_bodies, exclude_tautological=options.body_coverage,
-            settle=settle):
+    per_head = head_options(head_ids, pool_bodies, options.body_coverage)
+    settle = _BlockSettler(state, body, options, trace, head_ids, per_head,
+                           pool_bodies, need)
+    for bodies in enumerate_candidates(per_head, settle):
         if options.budget is not None \
                 and trace.candidates_tested >= options.budget:
             return trace, _BUDGET
         trace.candidates_tested += 1
-        if options.body_coverage and not filter_body_coverage(need, bodies):
-            hits["body_coverage"] += 1
-            continue
-        with_candidate = state.g + list(zip(head_ids, bodies))
-        if options.consequence_equality and not filter_rcn_equality(
-                state, body, with_candidate, pool_bodies):
-            hits["consequence_equality"] += 1
-            continue
-        if check_accept(state, body, with_candidate):
+        if check_accept(state, body, state.g + list(zip(head_ids, bodies))):
             trace.accepted = tuple(map(Clause, head_ids, bodies))
             return trace, None
     return trace, _EXHAUSTED
@@ -542,4 +534,4 @@ def reconstruct(f: Formula, options: Optional[Options] = None) -> Outcome:
             return NotSingleHead(state.formula.universe.names_of(body),
                                  failure, report)
         apply_iteration(state, body, trace.accepted)
-    return Success(state.g_formula(), report)
+    return Success(Formula(state.formula.universe, state.g), report)

@@ -97,6 +97,15 @@ class TestExitCodes:
         assert err.splitlines() == [
             f"usage error: argument {flag}: given more than once"]
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_sixty_four(self, budget):
+        code, out, err = run(["-f", "a->b", "--budget", budget])
+        assert code == 64
+        assert out == ""
+        assert err.splitlines() == [
+            f"usage error: argument --budget: budget must be at least 1, "
+            f"got {budget}"]
+
     def test_empty_body_item_is_a_formula_item(self):
         # `->a` is the canonical item of a fact: `output` prints it and
         # `parse_formula` reads it

@@ -57,6 +57,14 @@ def test_unknown_directive_rejected(tmp_path):
         load_corpus_file(str(path))
 
 
+def test_repeated_expect_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("% expect: single-head\na->b\n% expect: not-single-head\n")
+    with pytest.raises(ParseError) as err:
+        load_corpus_file(str(path))
+    assert "repeated directive 'expect' on line 3" in str(err.value)
+
+
 def test_bad_expect_value_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("a->b\n% expect: maybe\n")

@@ -55,6 +55,16 @@ class TestParsing:
             parse_formula(["ab->"])
         assert "empty head" in str(err.value)
 
+    @pytest.mark.parametrize("item", ["=", " = ", ",=,"])
+    def test_empty_equivalence_rejected(self, item):
+        with pytest.raises(ParseError) as err:
+            parse_formula([item])
+        assert "no variable on either side of '='" in str(err.value)
+
+    def test_one_sided_equivalence_is_a_fact(self):
+        assert texts(parse_formula(["a="])) == {"->a"}
+        assert texts(parse_formula(["=b"])) == {"->b"}
+
     def test_bad_letter_position_reported(self):
         with pytest.raises(ParseError) as err:
             parse_formula(["aB->c"])

@@ -22,8 +22,8 @@ from singlehead.reconstruct import (Inconclusive, NotSingleHead, Options,
                                     check_accept, choose_minimal_body,
                                     compute_heads, enumerate_candidates,
                                     filter_body_coverage, filter_maxit,
-                                    filter_rcn_equality, new_state,
-                                    precompute_bodies, reconstruct,
+                                    filter_rcn_equality, head_options,
+                                    new_state, precompute_bodies, reconstruct,
                                     rest_need, run_iteration)
 
 ALL_OFF = Options(body_coverage=False, head_reachability=False,
@@ -153,32 +153,53 @@ class TestCandidateSpace:
 class TestEnumerateCandidates:
     u = parse_formula(["ab->xy"]).universe
 
+    def _candidates(self, heads, pool, settle=None, **kwargs):
+        per_head = head_options(bit_ids(self.u.mask(heads)),
+                                [self.u.mask(b) for b in pool], **kwargs)
+        return list(enumerate_candidates(per_head, settle))
+
     def test_two_heads_two_bodies(self):
-        heads = self.u.mask("xy")
-        pool = [self.u.mask("a"), self.u.mask("b")]
-        combos = list(enumerate_candidates(heads, pool))
+        combos = self._candidates("xy", ["a", "b"])
         assert len(combos) == 4
         assert all(len(c) == 2 for c in combos)
 
     def test_empty_heads_single_empty_assignment(self):
-        assert list(enumerate_candidates(0, [])) == [()]
+        assert list(enumerate_candidates(head_options([], []))) == [()]
+        # with no heads `()` is the whole candidate, and meets the hook
+        seen = []
+        assert list(enumerate_candidates([], seen.append)) == [()]
+        assert seen == [()]
+        assert list(enumerate_candidates([], lambda prefix: True)) == []
 
     def test_tautological_pairings_excluded_by_default(self):
-        heads = self.u.mask("ax")
-        pool = [self.u.mask("a"), self.u.mask("b")]
-        combos = list(enumerate_candidates(heads, pool))
+        combos = self._candidates("ax", ["a", "b"])
         # head a cannot take body {a}
         assert len(combos) == 2
-        raw = list(enumerate_candidates(heads, pool,
-                                        exclude_tautological=False))
+        raw = self._candidates("ax", ["a", "b"], exclude_tautological=False)
         assert len(raw) == 4
 
     def test_canonical_order(self):
-        heads = self.u.mask("xy")
-        pool = [self.u.mask("a"), self.u.mask("b")]
-        combos = list(enumerate_candidates(heads, pool))
+        combos = self._candidates("xy", ["a", "b"])
         bodies = [[bit_ids(b) for b in combo] for combo in combos]
         assert bodies == sorted(bodies)
+
+    def test_whole_candidates_reach_settle(self):
+        seen = []
+        combos = self._candidates("xy", ["a", "b"], seen.append)
+        a, b = self.u.mask("a"), self.u.mask("b")
+        assert combos == [(a, a), (a, b), (b, a), (b, b)]
+        assert seen == [(a,), (a, a), (a, b), (b,), (b, a), (b, b)]
+        seen.clear()
+        assert self._candidates("x", ["a", "b"], seen.append) == [(a,), (b,)]
+        assert seen == [(a,), (b,)]
+
+    def test_settled_prefix_yields_nothing_under_it(self):
+        a, b = self.u.mask("a"), self.u.mask("b")
+        for settle in (lambda prefix: len(prefix) == 2, lambda prefix: True):
+            assert self._candidates("xy", ["a", "b"], settle) == []
+        assert self._candidates("xy", ["a", "b"],
+                                lambda prefix: prefix == (a,)) \
+            == [(b, a), (b, b)]
 
 
 class TestFilters:
@@ -560,13 +581,12 @@ def _every_candidate(f):
     """(state, body, g plus candidate) for the whole unreduced assignment
     product of every iteration that `reconstruct` reaches on `f`."""
     for state, body, _ in _reduction_contexts(f):
-        heads = compute_heads(state, body)
+        head_ids = bit_ids(compute_heads(state, body))
         pool, _ = candidate_space(state, body, reduce_pool=False)
         pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
-        for bodies in enumerate_candidates(heads, pool_bodies,
-                                           exclude_tautological=False):
-            yield state, body, \
-                state.g + list(map(Clause, bit_ids(heads), bodies))
+        for bodies in enumerate_candidates(head_options(
+                head_ids, pool_bodies, exclude_tautological=False)):
+            yield state, body, state.g + list(map(Clause, head_ids, bodies))
 
 
 class TestAcceptFastPath:
@@ -722,6 +742,12 @@ class TestBudget:
     def test_budget_one_below_space_is_inconclusive(self):
         out = reconstruct(self._formula(), Options(budget=215))
         assert isinstance(out, Inconclusive)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            Options(budget=budget)
+        assert Options(budget=1).budget == 1
 
 
 class TestFilterTransparency:
