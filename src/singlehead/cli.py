@@ -74,8 +74,10 @@ def _build_parser() -> _Parser:
                         metavar="ITEM",
                         help="inline formula items like ab->cd or df=gh "
                              "(repeatable)")
-    parser.add_argument("-t", "--testfile", nargs="+", metavar="PATH",
-                        help="corpus file, or directory of .txt files")
+    parser.add_argument("-t", "--testfile", nargs="+", action="extend",
+                        metavar="PATH",
+                        help="corpus file, or directory of .txt files "
+                             "(repeatable)")
     parser.add_argument("--forget", action=_Once, metavar="VARS",
                         help="after a successful reconstruction, forget "
                              "these variables (tokenized like a body)")

@@ -306,17 +306,37 @@ def filter_maxit(state: ReconstructionState, body: int, heads: int) -> bool:
 
 def filter_rcn_equality(state: ReconstructionState, body: int,
                         with_candidate: Sequence[tuple[int, int]],
-                        pool_bodies: Iterable[int]) -> bool:
+                        pool_bodies: Iterable[int], later: int = 0) -> bool:
     """Necessary condition on derived variables.
 
     Every candidate-pool body is interchangeable with the processed body,
     so under the formula under construction plus the candidate, as
     `(head, body)` pairs, it must derive exactly the same variables.
+
+    `later` holds heads of the iteration that stand for clauses, one per
+    head and body of its `head_options`, filter 1 on or off, over the pool
+    of an iteration that `run_iteration` reaches; the test gives what it
+    gives with those clauses listed.  From a pool body `other`, each head
+    of `later` outside `other` has `other` as an option, so the closure is
+    that of `other | later` under `with_candidate`, and the listed clauses
+    fire only heads of `later`.  So when the heads that `with_candidate`
+    fires, plus `later`, are not `rcn`, they miss a variable of it, as
+    fired heads never leave `rcn` (see `_BlockSettler`), and the test
+    fails either way.  When they are `rcn`, the closure holds `rcn` and
+    `other`.  Every pool body holds the body variables outside `rcn`: a
+    body `B` without one of them, `v`, has a closure without `v`, as no
+    clause that fires inside `bcn` heads `v`; so the input bodies that
+    fire from `B` lie strictly below this body and were processed before
+    it, `g` heads all that `B` derives, and `B` is no minimal body of this
+    iteration's heads.  So the closure is `bcn` and holds every pool body.
+    Each head of `later` heads a `ucl` clause, which is no tautology, so
+    it has a pool body without it, as the reduction keeps a body for every
+    head, and its clause on that body fires.
     """
     target = state.analyses[body].rcn_mask
     for other in pool_bodies:
-        _, fired, _ = propagate(with_candidate, other)
-        if fired != target:
+        _, fired, _ = propagate(with_candidate, other | later)
+        if fired | later != target:
             return False
     return True
 
@@ -370,8 +390,9 @@ class _BlockSettler:
     from head `d` on whose bodies supply `missing`; the candidates
     extending a prefix that pass filter 1 are those covering what `need`
     still misses after the prefix bodies.  Filter 3 is run on the prefix
-    clauses plus every option of the later heads, a superset of each
-    extending candidate's clauses.  The heads that fire from a pool body
+    clauses with the later heads as a mask, which stands for every option
+    of theirs (`filter_rcn_equality`): a superset of each extending
+    candidate's clauses.  The heads that fire from a pool body
     only shrink with the clause set, and never leave `rcn`: a pool body
     lies inside `bcn`, a clause of `g` that fires inside `bcn` is entailed
     by the input and no tautology, so it has its head in `rcn`, and the
@@ -384,8 +405,9 @@ class _BlockSettler:
 
     No proper prefix is checked before the first candidate is tested, and
     the tables are built at the first such check: most iterations of small
-    formulas have one head or accept their first candidate, and a check
-    costs about what testing a candidate costs.
+    formulas have one head or accept their first candidate, and a check,
+    tables included, costs about what testing a candidate costs (filters
+    1 and 3 and `check_accept`).
     """
 
     # built once per iteration: a slotted class builds faster than a closure
@@ -402,14 +424,14 @@ class _BlockSettler:
         self.covering: Optional[Callable[[int, int], int]] = None
 
     def _tables(self) -> None:
-        """From each head on: the number of completions and every option
-        as a `(head, body)` pair, and `covering`."""
+        """From each head on: the number of completions, the variables of
+        their bodies and the mask of the heads; and `covering`."""
         per_head = self.per_head
-        leaves, supply, later = [1], [0], [[]]
+        leaves, supply, later = [1], [0], [0]
         for h, bodies in zip(reversed(self.head_ids), reversed(per_head)):
             leaves.insert(0, leaves[0] * len(bodies))
             supply.insert(0, supply[0] | _body_vars(bodies))
-            later.insert(0, [(h, b) for b in bodies] + later[0])
+            later.insert(0, later[0] | 1 << h)
         memo: dict[tuple[int, int], int] = {}
 
         def covering(d: int, missing: int) -> int:
@@ -447,11 +469,10 @@ class _BlockSettler:
         if passing:
             if not options.consequence_equality:
                 return False
-            clauses = self.state.g + list(zip(self.head_ids, prefix))
-            if not whole:
-                clauses += self.later[d]
-            if filter_rcn_equality(self.state, self.body, clauses,
-                                   self.pool_bodies):
+            if filter_rcn_equality(
+                    self.state, self.body,
+                    self.state.g + list(zip(self.head_ids, prefix)),
+                    self.pool_bodies, 0 if whole else self.later[d]):
                 return False
         trace.candidates_tested += block
         trace.filter_hits["body_coverage"] += block - passing

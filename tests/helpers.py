@@ -10,8 +10,11 @@ compares closures built by the shipped `_hclose` (itself checked against
 every single-head assignment in `itertools.product` order with the
 shipped `propagate`, `product_order_search`, the earlier candidate
 loop, runs the shipped filters and `check_accept` on every candidate one
-by one, and `closure_rest_need`, the earlier pre-check of filter 1,
-builds the whole `rest` closure with the shipped `_hclose`.
+by one, `closure_rest_need`, the earlier pre-check of filter 1,
+builds the whole `rest` closure with the shipped `_hclose`, and
+`listed_rcn_equality`, the earlier forward check of filter 3, runs the
+shipped `propagate` over every option of the later heads listed as a
+clause.
 """
 
 from __future__ import annotations
@@ -95,6 +98,19 @@ def closure_rest_need(state, body: int) -> int:
     rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
     return _body_vars(c.body for c in rest) & ~state.g_body_vars \
         & ~_body_vars(c.body for c in pool)
+
+
+def listed_rcn_equality(state, body: int, with_candidate, pool_bodies,
+                        later: int, exclude_tautological: bool) -> bool:
+    """Filter 3 with the later heads' options listed: every pool body
+    derives exactly the body's `rcn` under `with_candidate` plus one
+    `(head, body)` pair for each head of `later` and each of its options."""
+    clauses = list(with_candidate) + [
+        (h, b) for h in bit_ids(later) for b in pool_bodies
+        if not (exclude_tautological and b >> h & 1)]
+    target = state.analyses[body].rcn_mask
+    return all(propagate(clauses, other)[1] == target
+               for other in pool_bodies)
 
 
 def product_order_search(state, body: int, options):

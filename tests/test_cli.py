@@ -265,6 +265,15 @@ class TestModes:
         assert code == 0
         assert json.loads(out)["results"][0]["formula"] == ["a->b", "b->c"]
 
+    def test_repeated_testfile_flag_extends(self):
+        # the later file alone is single-head; the earlier one is not
+        code, out, _ = run(["-t", corpus("inloop.txt"),
+                            "-t", corpus("intro.txt")])
+        assert code == 1
+        assert out.count("expected:") == 2
+        assert "inloop.txt: not-single-head" in out
+        assert "intro.txt: single-head" in out
+
     def test_trace_lines(self):
         code, out, _ = run(["--trace", "-t", corpus("twobodies.txt")])
         assert code == 0

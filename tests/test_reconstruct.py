@@ -1,6 +1,7 @@
 import collections
 import importlib
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import PADDED_PRODUCT, PRODUCT, formulas
 from helpers import (closure_equality_accept, closure_rest_need,
-                     naive_bcn, product_order_search)
+                     listed_rcn_equality, naive_bcn, product_order_search)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
@@ -445,6 +446,34 @@ class TestSearchWork:
             "consequence_equality": 89903}
         assert calls == {"filter_rcn_equality": 3032, "propagate": 8200}
 
+    def test_forward_checks_get_no_later_list(self, monkeypatch):
+        # each `propagate` of filter 3 gets `g` and at most one clause per
+        # head: with every option of the later heads listed, ring-8 and
+        # the joined rings each gave up to 38 clauses, 30 past that bound
+        module = importlib.import_module("singlehead.reconstruct")
+        check, original = module.filter_rcn_equality, module.propagate
+        bounds, excess = [], []
+
+        def bounded_check(state, body, *args):
+            bounds.append(len(state.g)
+                          + compute_heads(state, body).bit_count())
+            try:
+                return check(state, body, *args)
+            finally:
+                bounds.pop()
+
+        def measured(clauses, seed):
+            if bounds:
+                excess.append(len(clauses) - bounds[-1])
+            return original(clauses, seed)
+
+        monkeypatch.setattr(module, "filter_rcn_equality", bounded_check)
+        monkeypatch.setattr(module, "propagate", measured)
+        for items, budget in ((RING_8, None), (JOINED_RINGS, 200_000)):
+            excess.clear()
+            reconstruct(parse_formula(items), Options(budget=budget))
+            assert excess and max(excess) <= 0
+
     def test_joined_rings_decided_without_budget(self):
         out = reconstruct(parse_formula(JOINED_RINGS))
         assert isinstance(out, NotSingleHead)
@@ -589,6 +618,53 @@ def _every_candidate(f):
             yield state, body, state.g + list(map(Clause, head_ids, bodies))
 
 
+def _forward_checks(f, rng, outcomes):
+    """Filter 3 with the later heads as a mask against the reference that
+    lists their options, filter 1 on and off, for two random prefixes at
+    every depth, at every iteration that `reconstruct` reaches on `f`; tallies
+    (later heads, filter 1, result)."""
+    for state, body, _ in _reduction_contexts(f):
+        head_ids = bit_ids(compute_heads(state, body))
+        _, reduced = candidate_space(state, body)
+        pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
+        # what the mask form rests on: every pool body holds the body
+        # variables outside `rcn`, and every head has a body without it
+        underived = body & ~state.analyses[body].rcn_mask
+        assert all(not underived & ~b for b in pool_bodies), f.clause_texts()
+        assert all(any(not b >> h & 1 for b in pool_bodies)
+                   for h in head_ids), f.clause_texts()
+        for exclude in (True, False):
+            per_head = head_options(head_ids, pool_bodies, exclude)
+            for d in range(len(head_ids) + 1):
+                later = _body_vars(1 << h for h in head_ids[d:])
+                for _ in range(2):
+                    clauses = state.g + [(h, rng.choice(bodies)) for h, bodies
+                                         in zip(head_ids, per_head[:d])]
+                    got = filter_rcn_equality(state, body, clauses,
+                                              pool_bodies, later)
+                    assert got == listed_rcn_equality(
+                        state, body, clauses, pool_bodies, later, exclude), \
+                        (f.clause_texts(), body, clauses, later, exclude)
+                    outcomes[bool(later), exclude, got] += 1
+
+
+class TestLaterHeadsAsMask:
+    def test_sampled_formulas(self):
+        outcomes = collections.Counter()
+        for n in range(4, 8):
+            rng = random.Random(1900 + n)
+            for f in sample_formulas(n, 150, n + 3, 2, seed=1900 + n):
+                _forward_checks(f, rng, outcomes)
+        # with later heads, both results under each filter 1 setting
+        assert all(outcomes[True, exclude, got] > 100
+                   for exclude in (True, False) for got in (True, False))
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(max_vars=6, max_clauses=8), st.randoms())
+    def test_drawn_formulas(self, f, rng):
+        _forward_checks(f, rng, collections.Counter())
+
+
 class TestAcceptFastPath:
     def test_same_decision_as_plain_closure_equality(self):
         # entailment of the input's used clauses decides exactly as
@@ -685,25 +761,24 @@ class TestBlockSettling:
     testing them one by one in canonical order counts them."""
 
     def test_sampled_formulas(self, monkeypatch):
-        module = importlib.import_module("singlehead.reconstruct")
-        original = module.enumerate_candidates
-        yielded = tested = steps = 0
+        settler = RECONSTRUCT._BlockSettler
+        original = settler.__call__
+        settled = steps = 0
 
-        def counting(*args, **kwargs):
-            nonlocal yielded
-            for bodies in original(*args, **kwargs):
-                yielded += 1
-                yield bodies
+        def counting(self, prefix):
+            nonlocal settled
+            done = original(self, prefix)
+            if done and len(prefix) < len(self.head_ids):
+                settled += self.leaves[len(prefix)]
+            return done
 
-        monkeypatch.setattr(module, "enumerate_candidates", counting)
+        monkeypatch.setattr(settler, "__call__", counting)
         for n in range(4, 8):
             for f in sample_formulas(n, 120, n + 4, 2, seed=1800 + n):
                 for options in _switch_combinations():
-                    traces = _compare_with_product_order(f, options)
-                    steps += len(traces)
-                    tested += sum(t.candidates_tested for t in traces)
+                    steps += len(_compare_with_product_order(f, options))
         assert steps > 15000
-        assert tested - yielded > 30000   # candidates settled in blocks
+        assert settled > 30000   # 33,439, in blocks of any size
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(max_vars=6, max_clauses=8),
