@@ -206,7 +206,7 @@ def _print_human(result: dict, out) -> None:
             else "no comparison"
         print(f"  oracle: {result['oracle']['verdict']} ({note})", file=out)
     if result["forget"]:
-        kept = ",".join(result["forget"]["kept"])
+        kept = ",".join(result["forget"]["kept"]) or "{}"
         print(f"  after forgetting (kept {kept}): "
               f"{' '.join(result['forget']['output']) or '(empty)'}",
               file=out)

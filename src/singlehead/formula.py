@@ -133,7 +133,7 @@ class Formula:
         ordered = tuple(sorted(set(clauses), key=clause_key))
         full = (1 << len(universe)) - 1
         for c in ordered:
-            if c.body & ~full or c.head >= len(universe):
+            if c.body & ~full or not 0 <= c.head < len(universe):
                 raise ValueError(f"clause {c} outside universe {universe}")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "clauses", ordered)
@@ -386,7 +386,7 @@ class BodyAnalysis:
 
 def analyze_body(f: Formula, body_mask: int) -> BodyAnalysis:
     closure, fired_heads, fired = propagate(f.clauses, body_mask)
-    ucl = tuple(sorted((f.clauses[i] for i in fired), key=clause_key))
+    ucl = tuple([f.clauses[i] for i in sorted(fired)])
     return BodyAnalysis(f.universe, body_mask, closure, fired_heads, ucl)
 
 

@@ -14,13 +14,12 @@ one.
 Three pluggable rejection filters and the candidate-pool reduction can be
 switched off independently; they only prune work, never change verdicts.
 
-Candidates are counted in canonical order, as testing each on its own
-counts them.  The search walks an iteration's assignments depth-first,
-and filters 1 and 3 meet them in one check, which settles the candidates
-extending a prefix as one block when the filters reject all of them, a
-whole candidate being a block of one.  Both filters are monotone in the
+The search walks an iteration's assignments depth-first and decides each
+in one place, which settles the candidates extending a prefix as one block
+when filter 1 or 3 rejects all of them.  Both filters are monotone in the
 clause set, so the counts, where the budget runs out and the accepted
-candidate are those of testing each candidate on its own.
+candidate are those of testing each candidate on its own in canonical
+order.
 """
 
 from __future__ import annotations
@@ -54,8 +53,11 @@ class Options:
     budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        budget = self.budget
+        if budget is not None and type(budget) is not int:
+            raise ValueError(f"budget must be an integer, got {budget!r}")
+        if budget is not None and budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
 
     def without(self, name: str) -> "Options":
         return dataclasses.replace(self, **{name: False})
@@ -203,8 +205,7 @@ def head_options(head_ids: Sequence[int], pool_bodies: Sequence[int],
     return [[b for b in pool_bodies if not b >> h & 1] for h in head_ids]
 
 
-def enumerate_candidates(per_head: Sequence[Sequence[int]],
-                         settle: Optional[Settle] = None
+def enumerate_candidates(per_head: Sequence[Sequence[int]], settle: Settle
                          ) -> Iterator[tuple[int, ...]]:
     """Assignments of one option to every head, as tuples of body masks,
     walked depth-first: heads in order and each head's options in order,
@@ -216,7 +217,7 @@ def enumerate_candidates(per_head: Sequence[Sequence[int]],
     prefix are skipped.  With no heads the one candidate is `()`.
     """
     if not per_head:
-        if settle is None or not settle(()):
+        if not settle(()):
             yield ()
         return
     last = len(per_head) - 1
@@ -226,11 +227,11 @@ def enumerate_candidates(per_head: Sequence[Sequence[int]],
         for b in stack[-1]:
             if len(prefix) == last:
                 candidate = (*prefix, b)
-                if settle is None or not settle(candidate):
+                if not settle(candidate):
                     yield candidate
                 continue
             prefix.append(b)
-            if settle is not None and settle(tuple(prefix)):
+            if settle(tuple(prefix)):
                 prefix.pop()
                 continue
             stack.append(iter(per_head[len(prefix)]))
@@ -257,9 +258,9 @@ def filter_body_coverage(need: int, bodies: Iterable[int] = ()) -> bool:
     variables that appear in the formula under construction or in the
     candidate clauses, so `need` holds variables missing from the formula
     under construction.  Before the search it holds those of the
-    already-headed consequences, and `bodies` are the pool's: no candidate
-    supplies a variable outside them.  Per candidate it holds those of the
-    pool, and `bodies` are the candidate's.
+    already-headed consequences that lie outside the pool's bodies, which
+    no candidate supplies, and `bodies` is empty (`rest_need`).  Per
+    candidate it holds those of the pool, and `bodies` are the candidate's.
     """
     return not need & ~_body_vars(bodies)
 
@@ -378,30 +379,33 @@ def apply_iteration(state: ReconstructionState, body: int,
 
 class _BlockSettler:
     """The `settle` hook of `enumerate_candidates` for one iteration, and
-    the one place where a candidate meets filters 1 and 3: it settles the
-    candidates extending a prefix as one block when a check shows that
-    filter 1 or filter 3 rejects every one of them, and counts each toward
-    the filter that rejects it when tested one by one.
+    the one place where a candidate is decided: it keeps the budget,
+    counts, runs filters 1 and 3 and `check_accept` and sets
+    `trace.accepted`, so the walk yields only the candidate where the
+    iteration stops, the accepted one or the first one past the budget.  It
+    settles the candidates extending a prefix as one block when a check
+    shows that filter 1 or filter 3 rejects every one of them, and counts
+    each toward the filter that rejects it when tested one by one.
 
     A whole candidate is a block of one: filter 1 is
-    `filter_body_coverage(need, bodies)` and filter 3 runs on its clauses.
-    At a proper prefix both checks look forward, and both are monotone in
-    the clause set.  `covering(d, missing)` is the number of completions
-    from head `d` on whose bodies supply `missing`; the candidates
-    extending a prefix that pass filter 1 are those covering what `need`
-    still misses after the prefix bodies.  Filter 3 is run on the prefix
-    clauses with the later heads as a mask, which stands for every option
-    of theirs (`filter_rcn_equality`): a superset of each extending
-    candidate's clauses.  The heads that fire from a pool body
-    only shrink with the clause set, and never leave `rcn`: a pool body
-    lies inside `bcn`, a clause of `g` that fires inside `bcn` is entailed
-    by the input and no tautology, so it has its head in `rcn`, and the
-    candidates' heads are this iteration's.  So a variable of `rcn` missed
-    under the superset is missed by every extending candidate, and filter
-    3 rejects each one that filter 1 passes.  A block that would take
-    `candidates_tested` past the budget is not settled: the walk goes on
-    into it, and a whole candidate past the budget is yielded unchecked,
-    for `run_iteration` to stop at it.
+    `filter_body_coverage(need, bodies)`, and filter 3 and `check_accept`
+    run on its clauses.  At a proper prefix both checks look forward, and
+    both are monotone in the clause set.  `covering(d, missing)` is the
+    number of completions from head `d` on whose bodies supply `missing`;
+    the candidates extending a prefix that pass filter 1 are those
+    covering what `need` still misses after the prefix bodies.  Filter 3
+    is run on the prefix clauses with the later heads as a mask, which
+    stands for every option of theirs (`filter_rcn_equality`): a superset
+    of each extending candidate's clauses.  The heads that fire from a pool
+    body only shrink with the clause set, and never leave `rcn`: a pool
+    body lies inside `bcn`, a clause of `g` that fires inside `bcn` is
+    entailed by the input and no tautology, so it has its head in `rcn`,
+    and the candidates' heads are this iteration's.  So a variable of
+    `rcn` missed under the superset is missed by every extending
+    candidate, and filter 3 rejects each one that filter 1 passes.  A
+    block that would take `candidates_tested` past the budget is not
+    settled: the walk goes on into it, and yields a whole candidate past
+    the budget, for `run_iteration` to stop at it.
 
     No proper prefix is checked before the first candidate is tested, and
     the tables are built at the first such check: most iterations of small
@@ -467,12 +471,18 @@ class _BlockSettler:
         else:
             passing = self.covering(d, self.need & ~_body_vars(prefix))
         if passing:
-            if not options.consequence_equality:
+            if not (whole or options.consequence_equality):
                 return False
-            if filter_rcn_equality(
-                    self.state, self.body,
-                    self.state.g + list(zip(self.head_ids, prefix)),
-                    self.pool_bodies, 0 if whole else self.later[d]):
+            clauses = self.state.g + list(zip(self.head_ids, prefix))
+            if not options.consequence_equality or filter_rcn_equality(
+                    self.state, self.body, clauses, self.pool_bodies,
+                    0 if whole else self.later[d]):
+                if not whole:
+                    return False
+                trace.candidates_tested += 1
+                if not check_accept(self.state, self.body, clauses):
+                    return True
+                trace.accepted = tuple(map(Clause, self.head_ids, prefix))
                 return False
         trace.candidates_tested += block
         trace.filter_hits["body_coverage"] += block - passing
@@ -480,19 +490,15 @@ class _BlockSettler:
         return True
 
 
-_EXHAUSTED = "exhausted"
-_BUDGET = "budget"
-
-
 def run_iteration(state: ReconstructionState, body: int, options: Options
                   ) -> tuple[IterationTrace, Optional[str]]:
     """Search this body's candidates in canonical order; returns (trace,
     failure), with the accepted candidate, if any, in `trace.accepted`.
 
-    Filters 1 and 3 reject candidates, alone or in blocks, inside the walk
-    (`_BlockSettler`); a yielded candidate passes both or is past the budget.
+    Each candidate is decided inside the walk (`_BlockSettler`), alone or
+    in a block; the walk yields only the accepted candidate or the first
+    one past the budget.
     """
-    analysis = state.analyses[body]
     heads = compute_heads(state, body)
     pool, reduced = candidate_space(state, body, options.minbodies)
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
@@ -505,11 +511,10 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     trace = IterationTrace(body, heads, len(pool), len(reduced), 0, hits,
                            None)
 
-    if options.body_coverage:
-        if not filter_body_coverage(rest_need(analysis.ucl, free & ~supply),
-                                    (supply,)):
-            hits["body_coverage"] += 1
-            return trace, "body_coverage"
+    if options.body_coverage and not filter_body_coverage(
+            rest_need(state.analyses[body].ucl, free & ~supply)):
+        hits["body_coverage"] += 1
+        return trace, "body_coverage"
     if options.head_reachability and not filter_maxit(state, body, heads):
         hits["head_reachability"] += 1
         return trace, "head_reachability"
@@ -517,15 +522,9 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     per_head = head_options(head_ids, pool_bodies, options.body_coverage)
     settle = _BlockSettler(state, body, options, trace, head_ids, per_head,
                            pool_bodies, need)
-    for bodies in enumerate_candidates(per_head, settle):
-        if options.budget is not None \
-                and trace.candidates_tested >= options.budget:
-            return trace, _BUDGET
-        trace.candidates_tested += 1
-        if check_accept(state, body, state.g + list(zip(head_ids, bodies))):
-            trace.accepted = tuple(map(Clause, head_ids, bodies))
-            return trace, None
-    return trace, _EXHAUSTED
+    if next(enumerate_candidates(per_head, settle), None) is None:
+        return trace, "exhausted"
+    return trace, "budget" if trace.accepted is None else None
 
 
 def reconstruct(f: Formula, options: Optional[Options] = None) -> Outcome:
@@ -547,7 +546,7 @@ def reconstruct(f: Formula, options: Optional[Options] = None) -> Outcome:
         body = choose_minimal_body(state)
         trace, failure = run_iteration(state, body, options)
         report.iterations.append(trace)
-        if failure == _BUDGET:
+        if failure == "budget":
             assert options.budget is not None
             return Inconclusive(state.formula.universe.names_of(body),
                                 options.budget, report)

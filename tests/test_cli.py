@@ -237,6 +237,14 @@ class TestModes:
         assert code == 0
         assert "a0->q1" in out
 
+    def test_forget_everything_prints_empty_kept_set(self):
+        code, out, _ = run(["-f", "a->b", "--forget", "a,b"])
+        assert code == 0
+        assert "after forgetting (kept {}): (empty)" in out
+        code, out, _ = run(["--json", "-f", "a->b", "--forget", "a,b"])
+        assert json.loads(out)["results"][0]["forget"] == {
+            "kept": [], "output": []}
+
     def test_forget_lone_multi_character_name(self):
         code, out, _ = run(["--json", "-f", "foo,->a", "a->b",
                             "--forget", "foo"])

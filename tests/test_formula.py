@@ -124,6 +124,9 @@ class TestInterning:
             Formula(Universe("ab"), [Clause(2, 0b01)])
         with pytest.raises(ValueError):
             Formula(Universe("ab"), [Clause(0, 0b100)])
+        # a negative id would index the names from the end
+        with pytest.raises(ValueError, match="outside universe"):
+            Formula(Universe("ab"), [Clause(-1, 0b01)])
 
     def test_bijection(self):
         u = Universe(["b", "a", "a"])

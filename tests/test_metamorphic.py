@@ -1,6 +1,7 @@
 """Relations between verdicts that hold at any size, checked on families
-past the brute-force oracle's reach: renaming the variables, joining two
-formulas over disjoint variables, and adding entailed clauses.
+and random draws past the brute-force oracle's reach: renaming the
+variables, joining two formulas over disjoint variables, adding entailed
+clauses, and forgetting variables from a witness.
 """
 
 import itertools
@@ -10,9 +11,10 @@ import pytest
 
 from conftest import PADDED_PRODUCT, PRODUCT, ring
 
+from singlehead.forget import forget_by_resolution, forget_single_head
 from singlehead.formula import (Clause, Formula, bit_ids, is_single_head,
                                 parse_formula, propagate)
-from singlehead.oracle import formulas_equivalent
+from singlehead.oracle import formulas_equivalent, sample_formulas
 from singlehead.reconstruct import Success, reconstruct
 
 RINGS = {n: ring(list("abcdefgh"[:n])) for n in range(3, 9)}
@@ -22,6 +24,12 @@ FAMILIES = ({f"product-{k}": items for k, items in PRODUCT.items()}
 SEEDS = range(5)
 # two rings of three tied by one equivalence, as in corpus/disconnected.txt
 RING_PAIR = ring(list("abc")) + ring(list("def")) + ["c,a=d,e"]
+DRAW_SIZES = (10, 11, 12)
+
+
+def draws(n: int) -> list[Formula]:
+    """Forty seeded random formulas over `n` variables."""
+    return list(sample_formulas(n, 40, n + 2, 3, seed=2100 + n))
 
 
 def permuted(f: Formula, ids) -> Formula:
@@ -52,6 +60,22 @@ def padded(f: Formula, rng: random.Random, extra: int = 3) -> Formula:
         if derived:
             clauses.add(Clause(rng.choice(derived), body))
     return Formula(f.universe, clauses)
+
+
+def pads(f: Formula, extra: int = 3) -> bool:
+    """Whether `f` entails `extra` clauses beyond its own on bodies of one
+    to four variables, as `padded` needs to end."""
+    n = len(f.universe)
+    found = set(f.clauses)
+    for k in range(1, min(4, n) + 1):
+        for ids in itertools.combinations(range(n), k):
+            body = sum(1 << v for v in ids)
+            found.update(Clause(h, body)
+                         for h in bit_ids(propagate(f.clauses, body)[0]
+                                          & ~body))
+            if len(found) >= len(f) + extra:
+                return True
+    return False
 
 
 def verdict(f: Formula) -> str:
@@ -106,3 +130,52 @@ def test_disjoint_union_single_head_iff_both(name, n):
     both = all(verdict(parse_formula(items)) == "single-head"
                for items in (FAMILIES[name], other))
     assert (verdict(union) == "single-head") == both
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_renaming_keeps_verdict_on_draws(n):
+    seen = set()
+    for i, f in enumerate(draws(n)):
+        expected = verdict(f)
+        seen.add(expected)
+        assert verdict(renamed(f, random.Random(i))) == expected, f
+    assert seen == {"single-head", "not-single-head"}
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_entailed_clauses_keep_verdict_on_draws(n):
+    padding = [f for f in draws(n) if pads(f)]
+    assert len(padding) > 30
+    for i, f in enumerate(padding):
+        assert verdict(padded(f, random.Random(i))) == verdict(f), f
+
+
+def forgets_alike(f: Formula, rng: random.Random, count: int = 4) -> int:
+    """Checks that forgetting from the witness of `f` gives what
+    forgetting from `f` by resolution gives, on `count` random keep sets;
+    returns the number checked, 0 when `f` has no witness."""
+    out = reconstruct(f)
+    if not isinstance(out, Success):
+        return 0
+    names = f.universe.names
+    for _ in range(count):
+        keep = rng.sample(names, rng.randint(0, len(names)))
+        assert formulas_equivalent(forget_single_head(out.formula, keep),
+                                   forget_by_resolution(f, keep)), (f, keep)
+    return count
+
+
+@pytest.mark.parametrize("n", RINGS)
+def test_forgetting_from_witness_on_rings(n):
+    f = parse_formula(RINGS[n])
+    family = [f] + [renamed(f, random.Random(seed)) for seed in SEEDS]
+    if n > 3:   # ring-3 entails nothing to pad with
+        family += [padded(f, random.Random(seed)) for seed in SEEDS]
+    rng = random.Random(2000 + n)
+    assert sum(forgets_alike(g, rng) for g in family) == 4 * len(family)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_forgetting_from_witness_on_draws(n):
+    rng = random.Random(2000 + n)
+    assert sum(forgets_alike(f, rng) for f in draws(n)) > 40

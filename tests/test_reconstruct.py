@@ -151,10 +151,14 @@ class TestCandidateSpace:
         assert pool == reduced == frozenset([only])
 
 
+def never_settle(prefix):
+    return False
+
+
 class TestEnumerateCandidates:
     u = parse_formula(["ab->xy"]).universe
 
-    def _candidates(self, heads, pool, settle=None, **kwargs):
+    def _candidates(self, heads, pool, settle=never_settle, **kwargs):
         per_head = head_options(bit_ids(self.u.mask(heads)),
                                 [self.u.mask(b) for b in pool], **kwargs)
         return list(enumerate_candidates(per_head, settle))
@@ -165,7 +169,8 @@ class TestEnumerateCandidates:
         assert all(len(c) == 2 for c in combos)
 
     def test_empty_heads_single_empty_assignment(self):
-        assert list(enumerate_candidates(head_options([], []))) == [()]
+        assert list(enumerate_candidates(head_options([], []),
+                                         never_settle)) == [()]
         # with no heads `()` is the whole candidate, and meets the hook
         seen = []
         assert list(enumerate_candidates([], seen.append)) == [()]
@@ -614,7 +619,8 @@ def _every_candidate(f):
         pool, _ = candidate_space(state, body, reduce_pool=False)
         pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
         for bodies in enumerate_candidates(head_options(
-                head_ids, pool_bodies, exclude_tautological=False)):
+                head_ids, pool_bodies, exclude_tautological=False),
+                never_settle):
             yield state, body, state.g + list(map(Clause, head_ids, bodies))
 
 
@@ -823,6 +829,13 @@ class TestBudget:
         with pytest.raises(ValueError, match="budget must be at least 1"):
             Options(budget=budget)
         assert Options(budget=1).budget == 1
+
+    @pytest.mark.parametrize("budget", [2.5, True, "3"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(ValueError) as error:
+            Options(budget=budget)
+        assert str(error.value) \
+            == f"budget must be an integer, got {budget!r}"
 
 
 class TestFilterTransparency:
