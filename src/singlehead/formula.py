@@ -322,8 +322,6 @@ def entails_clause(f: Formula, body: Iterable[str], head: str) -> bool:
     u = f.universe
     body_mask = u.mask(body)
     head_id = u.id(head)
-    if body_mask >> head_id & 1:
-        return True
     return bool(closure_mask(f, body_mask) >> head_id & 1)
 
 

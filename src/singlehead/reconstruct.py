@@ -11,8 +11,8 @@ with no closure per candidate.  Failure of any iteration is definitive:
 the input has no single-head equivalent.  Success of all iterations yields
 one.
 
-Three pluggable rejection filters and the candidate-pool reduction can be
-switched off independently; they only prune work, never change verdicts.
+The three rejection filters and the pool reduction can each be switched
+off; only the reduction can change the witness, and none the verdict.
 
 The search walks an iteration's assignments depth-first and decides each
 in one place, which settles the candidates extending a prefix as one block
@@ -387,6 +387,10 @@ class _BlockSettler:
     shows that filter 1 or filter 3 rejects every one of them, and counts
     each toward the filter that rejects it when tested one by one.
 
+    It reads no switch: with filter 1 off `need` is 0, so `covering(d, 0)`
+    is the whole block and filter 1 passes, and with filter 3 off it has
+    no pool bodies to visit (`checked`), so `filter_rcn_equality` passes.
+
     A whole candidate is a block of one: filter 1 is
     `filter_body_coverage(need, bodies)`, and filter 3 and `check_accept`
     run on its clauses.  At a proper prefix both checks look forward, and
@@ -415,16 +419,16 @@ class _BlockSettler:
     """
 
     # built once per iteration: a slotted class builds faster than a closure
-    __slots__ = ("state", "body", "options", "trace", "head_ids", "per_head",
-                 "pool_bodies", "need", "leaves", "later", "covering")
+    __slots__ = ("state", "body", "trace", "head_ids", "per_head", "budget",
+                 "need", "checked", "leaves", "later", "covering")
 
     def __init__(self, state: ReconstructionState, body: int,
-                 options: Options, trace: IterationTrace,
-                 head_ids: Sequence[int], per_head: Sequence[Sequence[int]],
-                 pool_bodies: Sequence[int], need: int) -> None:
-        self.state, self.body, self.options = state, body, options
-        self.trace, self.head_ids, self.per_head = trace, head_ids, per_head
-        self.pool_bodies, self.need = pool_bodies, need
+                 trace: IterationTrace, head_ids: Sequence[int],
+                 per_head: Sequence[Sequence[int]], budget: Optional[int],
+                 need: int, checked: Sequence[int]) -> None:
+        self.state, self.body, self.trace = state, body, trace
+        self.head_ids, self.per_head, self.budget = head_ids, per_head, budget
+        self.need, self.checked = need, checked
         self.covering: Optional[Callable[[int, int], int]] = None
 
     def _tables(self) -> None:
@@ -452,7 +456,7 @@ class _BlockSettler:
         self.leaves, self.later, self.covering = leaves, later, covering
 
     def __call__(self, prefix: tuple[int, ...]) -> bool:
-        trace, options = self.trace, self.options
+        trace = self.trace
         d = len(prefix)
         whole = d == len(self.head_ids)
         if not whole:
@@ -461,22 +465,18 @@ class _BlockSettler:
             if self.covering is None:
                 self._tables()
         block = 1 if whole else self.leaves[d]
-        if options.budget is not None \
-                and trace.candidates_tested + block > options.budget:
+        if self.budget is not None \
+                and trace.candidates_tested + block > self.budget:
             return False
-        if not options.body_coverage:
-            passing = block
-        elif whole:
+        if whole:
             passing = int(filter_body_coverage(self.need, prefix))
         else:
             passing = self.covering(d, self.need & ~_body_vars(prefix))
         if passing:
-            if not (whole or options.consequence_equality):
-                return False
             clauses = self.state.g + list(zip(self.head_ids, prefix))
-            if not options.consequence_equality or filter_rcn_equality(
-                    self.state, self.body, clauses, self.pool_bodies,
-                    0 if whole else self.later[d]):
+            if filter_rcn_equality(self.state, self.body, clauses,
+                                   self.checked,
+                                   0 if whole else self.later[d]):
                 if not whole:
                     return False
                 trace.candidates_tested += 1
@@ -497,7 +497,7 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
 
     Each candidate is decided inside the walk (`_BlockSettler`), alone or
     in a block; the walk yields only the accepted candidate or the first
-    one past the budget.
+    one past the budget.  It alone reads the filter switches.
     """
     heads = compute_heads(state, body)
     pool, reduced = candidate_space(state, body, options.minbodies)
@@ -505,7 +505,6 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     head_ids = bit_ids(heads)
     free = ~state.g_body_vars
     supply = _body_vars(c.body for c in pool)
-    need = supply & free
 
     hits = dict.fromkeys(FILTER_NAMES, 0)
     trace = IterationTrace(body, heads, len(pool), len(reduced), 0, hits,
@@ -520,8 +519,10 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
         return trace, "head_reachability"
 
     per_head = head_options(head_ids, pool_bodies, options.body_coverage)
-    settle = _BlockSettler(state, body, options, trace, head_ids, per_head,
-                           pool_bodies, need)
+    settle = _BlockSettler(
+        state, body, trace, head_ids, per_head, options.budget,
+        supply & free if options.body_coverage else 0,
+        pool_bodies if options.consequence_equality else ())
     if next(enumerate_candidates(per_head, settle), None) is None:
         return trace, "exhausted"
     return trace, "budget" if trace.accepted is None else None

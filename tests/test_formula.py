@@ -9,9 +9,9 @@ from helpers import naive_bcn, naive_entails, naive_propagate
 
 from singlehead.formula import (Clause, Formula, ParseError, Universe, bcn,
                                 body_equiv, body_leq, body_lt, entails_clause,
-                                formula_items, is_single_head, normalize,
-                                parse_formula, parse_variables, propagate,
-                                rcn_ucl)
+                                formula_items, is_single_head, letters,
+                                normalize, parse_formula, parse_variables,
+                                propagate, rcn_ucl)
 from singlehead.oracle import sample_formulas
 
 
@@ -70,6 +70,18 @@ class TestParsing:
             parse_formula(["aB->c"])
         assert err.value.position == 1
 
+    @pytest.mark.parametrize("item, message, position", [
+        ("1x,b->c", "bad variable name '1x'", 0),
+        ("b,1x->c", "bad variable name '1x'", 2),
+        ("a->b->c", "more than one '->'", 4),
+        ("a=b=c", "more than one '='", 3)])
+    def test_error_item_and_position(self, item, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_formula([item])
+        assert (err.value.item, err.value.position) == (item, position)
+        assert str(err.value) \
+            == f"{message} in {item!r} at position {position}"
+
     def test_missing_operator(self):
         with pytest.raises(ParseError):
             parse_formula(["abc"])
@@ -116,6 +128,23 @@ class TestParsing:
         again = parse_formula(items, universe=u)
         assert again == f
         assert formula_items(again) == items
+
+
+class TestSmallAccessors:
+    def test_formula_repr(self):
+        assert repr(parse_formula(["a->b", "b=c"])) \
+            == "Formula(a->b c->b b->c)"
+        assert repr(Formula(Universe("ab"), [])) == "Formula(empty)"
+
+    def test_body_analysis_body(self):
+        f = parse_formula(["a->b", "b->c"])
+        assert rcn_ucl(f, {"a", "c"}).body == {"a", "c"}
+
+    def test_letters_bounded(self):
+        assert letters(26) == "abcdefghijklmnopqrstuvwxyz"
+        with pytest.raises(ValueError,
+                           match="only 26 single-letter names available"):
+            letters(27)
 
 
 class TestInterning:

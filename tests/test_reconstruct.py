@@ -838,7 +838,61 @@ class TestBudget:
             == f"budget must be an integer, got {budget!r}"
 
 
+def _witness(out):
+    return out.formula.clause_texts() if isinstance(out, Success) else None
+
+
 class TestFilterTransparency:
+    def test_filters_keep_verdict_and_witness(self):
+        # all 8 on/off settings of filters 1-3, the pool reduction on
+        single = 0
+        for n in range(4, 8):
+            for f in sample_formulas(n, 100, n + 4, 2, seed=3000 + n):
+                reference = reconstruct(f)
+                single += isinstance(reference, Success)
+                for on in itertools.product((True, False), repeat=3):
+                    out = reconstruct(f, Options(*on))
+                    assert (out.verdict, _witness(out)) \
+                        == (reference.verdict, _witness(reference)), \
+                        (f.clause_texts(), on)
+        assert single == 216
+
+    def test_accepted_candidates_pass_filters_1_and_3(self):
+        # the whole assignment product, tautological pairings included,
+        # over the reduced and the unreduced pool, at every iteration the
+        # default search reaches
+        tested = accepted = 0
+        for n in range(4, 8):
+            for f in sample_formulas(n, 100, n + 4, 2, seed=3000 + n):
+                for state, body, _ in _reduction_contexts(f):
+                    head_ids = bit_ids(compute_heads(state, body))
+                    for reduce_pool in (True, False):
+                        pool, reduced = candidate_space(state, body,
+                                                        reduce_pool)
+                        pool_bodies = sorted({c.body for c in reduced},
+                                             key=bit_ids)
+                        need = _body_vars(c.body for c in pool) \
+                            & ~state.g_body_vars
+                        for bodies in enumerate_candidates(head_options(
+                                head_ids, pool_bodies, False), never_settle):
+                            clauses = state.g + list(zip(head_ids, bodies))
+                            tested += 1
+                            if not check_accept(state, body, clauses):
+                                continue
+                            accepted += 1
+                            assert filter_body_coverage(need, bodies)
+                            assert filter_rcn_equality(state, body, clauses,
+                                                       pool_bodies)
+        assert (tested, accepted) == (127719, 2201)
+
+    def test_minbodies_can_change_the_witness(self):
+        f = parse_formula(["cd->a", "de->b", "a->c", "bc->d", "ab->e",
+                           "b->e", "d->e"])
+        assert _witness(reconstruct(f)) \
+            == ["bc->a", "d->b", "a->c", "bc->d", "b->e"]
+        assert _witness(reconstruct(f, Options().without("minbodies"))) \
+            == ["bc->a", "d->b", "a->c", "ab->d", "b->e"]
+
     def test_verdicts_and_counts_on_random_formulas(self):
         base = Options()
         names = ["body_coverage", "head_reachability",
