@@ -10,7 +10,8 @@ holding that variable.  So a kept same-head subset, which refuses an
 insert, and the kept same-head supersets it evicts are each found by one
 mask test, not by a scan of the kept bodies.
 `minbodies` then discards candidate clauses whose body already entails
-another candidate body under a context formula.
+another candidate body under a context formula; it groups the bodies by
+their closure under the context and compares only the distinct closures.
 """
 
 from __future__ import annotations
@@ -146,19 +147,27 @@ def _minbodies(candidates: Iterable[Clause],
     body entails under the context, which is what correctness of the
     candidate search needs.  The identity reduction is always sound; this
     one just shrinks the search space further.
+
+    The classes are found by grouping the bodies by their closure `reach`
+    under the context, not by comparing every pair of bodies.  The closure
+    is monotone and idempotent and contains its seed, so a body `b` entails
+    `o` (`o` lies in `reach[b]`) exactly when `reach[o]` is a subset of
+    `reach[b]`.  So two bodies are in one class exactly when their closures
+    are equal, and a class is a sink exactly when no other body's closure
+    is a strict subset of its closure.  Keeping the canonical-first body of
+    each closure that has no distinct closure strictly below it is the
+    reduction above.
     """
     by_head: dict[int, set[int]] = defaultdict(set)
     for c in candidates:
         by_head[c.head].add(c.body)
     kept: set[Clause] = set()
     for head, bodies in by_head.items():
-        reach = {b: propagate(context, b)[0] for b in bodies}
-        for b in bodies:
-            # the preorder is transitive: when all the bodies b entails
-            # entail b back, they are b's sink class
-            entailed = [o for o in bodies if not o & ~reach[b]]
-            if all(not b & ~reach[o] for o in entailed) \
-                    and min(entailed, key=bit_ids) == b:
+        first: dict[int, int] = {}     # closure -> its canonical-first body
+        for b in sorted(bodies, key=bit_ids):
+            first.setdefault(propagate(context, b)[0], b)
+        for reach, b in first.items():
+            if not any(o != reach and not o & ~reach for o in first):
                 kept.add(Clause(head, b))
     return frozenset(kept)
 

@@ -2,9 +2,10 @@
 and the forward-chaining engine everything else is built on.
 
 Bodies and variable sets are bitmasks over dense variable ids, so subset,
-union and containment tests are single machine operations.  The public
-functions accept and return variable names; the mask-level helpers are used
-by the sibling modules.
+union and containment tests are single machine operations.  Variable names
+appear only at the edges: `Universe` interns them, parsing reads them and
+rendering writes them.  Everything else, forward chaining and body
+analysis included, takes and returns masks.
 """
 
 from __future__ import annotations
@@ -311,42 +312,6 @@ def closure_mask(f: Formula, seed: int) -> int:
     return propagate(f.clauses, seed)[0]
 
 
-def bcn(f: Formula, body: Iterable[str]) -> frozenset[str]:
-    """All variables entailed by the formula together with the given set."""
-    u = f.universe
-    return u.names_of(closure_mask(f, u.mask(body)))
-
-
-def entails_clause(f: Formula, body: Iterable[str], head: str) -> bool:
-    """Whether the formula entails body -> head; tautologies always hold."""
-    u = f.universe
-    body_mask = u.mask(body)
-    head_id = u.id(head)
-    return bool(closure_mask(f, body_mask) >> head_id & 1)
-
-
-def body_leq(f: Formula, a: Iterable[str], b: Iterable[str]) -> bool:
-    """Body order: a <= b when the formula entails b -> a."""
-    u = f.universe
-    return _leq_mask(f, u.mask(a), u.mask(b))
-
-
-def body_lt(f: Formula, a: Iterable[str], b: Iterable[str]) -> bool:
-    u = f.universe
-    am, bm = u.mask(a), u.mask(b)
-    return _leq_mask(f, am, bm) and not _leq_mask(f, bm, am)
-
-
-def body_equiv(f: Formula, a: Iterable[str], b: Iterable[str]) -> bool:
-    u = f.universe
-    am, bm = u.mask(a), u.mask(b)
-    return _leq_mask(f, am, bm) and _leq_mask(f, bm, am)
-
-
-def _leq_mask(f: Formula, a: int, b: int) -> bool:
-    return not a & ~closure_mask(f, b)
-
-
 # ---------------------------------------------------------------------------
 # per-body analysis
 
@@ -354,43 +319,22 @@ def _leq_mask(f: Formula, a: int, b: int) -> bool:
 class BodyAnalysis:
     """What one forward-chaining pass from a body yields.
 
-    `bcn` is the closure, `rcn` the heads of clauses that fired (variables
-    derived by an actual inference, seed members included when rederived),
-    and `ucl` the clauses whose whole body lies inside the closure.
-    Always: bcn = body | rcn.
+    `bcn_mask` is the closure, `rcn_mask` the heads of clauses that fired
+    (variables derived by an actual inference, seed members included when
+    rederived), and `ucl` the clauses whose whole body lies inside the
+    closure.  Always: bcn_mask = body_mask | rcn_mask.
     """
 
-    universe: Universe
     body_mask: int
     bcn_mask: int
     rcn_mask: int
     ucl: tuple[Clause, ...]
 
-    @property
-    def body(self) -> frozenset[str]:
-        return self.universe.names_of(self.body_mask)
-
-    @property
-    def bcn(self) -> frozenset[str]:
-        return self.universe.names_of(self.bcn_mask)
-
-    @property
-    def rcn(self) -> frozenset[str]:
-        return self.universe.names_of(self.rcn_mask)
-
-    def ucl_formula(self) -> Formula:
-        return Formula(self.universe, self.ucl)
-
 
 def analyze_body(f: Formula, body_mask: int) -> BodyAnalysis:
     closure, fired_heads, fired = propagate(f.clauses, body_mask)
     ucl = tuple([f.clauses[i] for i in sorted(fired)])
-    return BodyAnalysis(f.universe, body_mask, closure, fired_heads, ucl)
-
-
-def rcn_ucl(f: Formula, body: Iterable[str]) -> BodyAnalysis:
-    """Analyze one body: closure, real consequences and used clauses."""
-    return analyze_body(f, f.universe.mask(body))
+    return BodyAnalysis(body_mask, closure, fired_heads, ucl)
 
 
 # ---------------------------------------------------------------------------

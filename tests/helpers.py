@@ -167,6 +167,19 @@ def naive_entails(f: Formula, body: int, head: int) -> bool:
     return bool(naive_bcn(f, body) >> head & 1)
 
 
+def naive_body_leq(f: Formula, a: int, b: int) -> bool:
+    """Body order: a <= b when the formula entails b -> a."""
+    return not a & ~naive_bcn(f, b)
+
+
+def naive_body_lt(f: Formula, a: int, b: int) -> bool:
+    return naive_body_leq(f, a, b) and not naive_body_leq(f, b, a)
+
+
+def naive_body_equiv(f: Formula, a: int, b: int) -> bool:
+    return naive_body_leq(f, a, b) and naive_body_leq(f, b, a)
+
+
 def naive_minimal(clauses) -> tuple[Clause, ...]:
     """The clauses whose body is no strict superset of a same-head body,
     by comparing every pair, in canonical order without duplicates."""

@@ -11,8 +11,8 @@ from helpers import all_keep_sets, brute_hclose, projected_models
 
 from singlehead.closure import _hclose
 from singlehead.corpus import load_corpus_file
-from singlehead.formula import (Formula, clause_key, is_single_head,
-                                parse_formula, rcn_ucl)
+from singlehead.formula import (Formula, analyze_body, clause_key,
+                                is_single_head, parse_formula)
 from singlehead.forget import forget_by_resolution, forget_single_head
 from singlehead.oracle import (brute_force_single_head_equivalent,
                                enumerate_small_formulas, formulas_equivalent,
@@ -185,7 +185,8 @@ def test_criterion_7_forgetting():
 
 def test_criterion_8_derived_consequences_example():
     from singlehead.formula import Universe
-    f = parse_formula(["y->z", "z->y"], universe=Universe("xyz"))
-    analysis = rcn_ucl(f, {"x", "y"})
-    report("8 derived-consequences example", analysis.rcn == {"y", "z"},
-           f"rcn={sorted(analysis.rcn)}")
+    u = Universe("xyz")
+    f = parse_formula(["y->z", "z->y"], universe=u)
+    rcn = analyze_body(f, u.mask("xy")).rcn_mask
+    report("8 derived-consequences example", rcn == u.mask("yz"),
+           f"rcn={sorted(u.names_of(rcn))}")

@@ -1,13 +1,16 @@
+import importlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PRODUCT
 from helpers import brute_hclose, naive_bcn, naive_minbodies, naive_minimal
 
-from singlehead.closure import (_hclose, _keep, _Kept, hclose, minbodies,
-                                minimal_clauses, resolve_on_head)
+from singlehead.closure import (_hclose, _keep, _Kept, _minbodies, hclose,
+                                minbodies, minimal_clauses, resolve_on_head)
 from singlehead.formula import (Clause, Formula, Universe, clause_key,
                                 parse_formula, propagate)
 from singlehead.oracle import sample_formulas
@@ -254,3 +257,16 @@ class TestMinbodies:
                     f.clause_texts()
                 dropped += len(candidates) - len(reduced)
         assert dropped > 100
+        # every pool that `reconstruct` reduces on the closed products,
+        # `product` plus z->q: the pool for z holds 3**k + 1 bodies
+        module = importlib.import_module("singlehead.reconstruct")
+        for k in range(2, 6):
+            f = parse_formula(PRODUCT[k] + ["z->q"])
+            spy = mock.Mock(side_effect=_minbodies)
+            with mock.patch.object(module, "_minbodies", spy):
+                module.reconstruct(f)
+            pools = [call.args for call in spy.call_args_list]
+            assert max(len(pool) for pool, _ in pools) > 3 ** k
+            for candidates, context in pools:
+                assert _minbodies(candidates, context) == naive_minbodies(
+                    candidates, Formula(f.universe, context)), k

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from conftest import formulas
 from helpers import naive_bcn, naive_entails, naive_propagate
 
-from singlehead.formula import (Clause, Formula, ParseError, Universe, bcn,
-                                body_equiv, body_leq, body_lt, entails_clause,
-                                formula_items, is_single_head, letters,
-                                normalize, parse_formula, parse_variables,
-                                propagate, rcn_ucl)
+from singlehead.formula import (Clause, Formula, ParseError, Universe,
+                                analyze_body, closure_mask, formula_items,
+                                is_single_head, letters, normalize,
+                                parse_formula, parse_variables, propagate)
 from singlehead.oracle import sample_formulas
 
 
@@ -138,7 +137,8 @@ class TestSmallAccessors:
 
     def test_body_analysis_body(self):
         f = parse_formula(["a->b", "b->c"])
-        assert rcn_ucl(f, {"a", "c"}).body == {"a", "c"}
+        u = f.universe
+        assert analyze_body(f, u.mask("ac")).body_mask == u.mask("ac")
 
     def test_letters_bounded(self):
         assert letters(26) == "abcdefghijklmnopqrstuvwxyz"
@@ -190,23 +190,23 @@ class TestNormalize:
 class TestBcn:
     def test_chain_with_loop(self):
         f = parse_formula(["a->b", "b->c", "c->b"])
-        assert bcn(f, "a") == {"a", "b", "c"}
+        u = f.universe
+        assert closure_mask(f, u.mask("a")) == u.mask("abc")
 
     def test_no_clauses(self):
         f = parse_formula(["a->b"])
-        empty = Formula(f.universe, [])
-        assert bcn(empty, "a") == {"a"}
+        a = f.universe.mask("a")
+        assert closure_mask(Formula(f.universe, []), a) == a
 
     def test_unsatisfied_body(self):
         f = parse_formula(["ab->c"])
-        assert bcn(f, "a") == {"a"}
+        assert closure_mask(f, f.universe.mask("a")) == f.universe.mask("a")
 
     def test_matches_naive_fixpoint(self):
         for f in sample_formulas(6, 200, 8, 3, seed=101):
             n = len(f.universe)
             for seed in range(1 << n):
-                got = f.universe.mask(bcn(f, f.universe.names_of(seed)))
-                assert got == naive_bcn(f, seed)
+                assert closure_mask(f, seed) == naive_bcn(f, seed)
 
     @settings(max_examples=60)
     @given(formulas(), st.data())
@@ -216,9 +216,18 @@ class TestBcn:
         grow = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
         a = naive_bcn(f, small)
         b = naive_bcn(f, small | grow)
-        u = f.universe
-        assert bcn(f, u.names_of(small)) <= bcn(f, u.names_of(small | grow))
+        assert closure_mask(f, small) & ~closure_mask(f, small | grow) == 0
         assert a & ~b == 0
+
+    def test_entailed_body_has_smaller_closure(self):
+        # the body order "a <= b when the formula entails b -> a" compares
+        # closures: a lies in b's closure exactly when a's closure does,
+        # so the order is a preorder whose classes share one closure
+        for f in sample_formulas(4, 60, 5, 2, seed=202):
+            n = len(f.universe)
+            reach = [closure_mask(f, m) for m in range(1 << n)]
+            for a, b in itertools.product(range(1 << n), repeat=2):
+                assert (not a & ~reach[b]) == (not reach[a] & ~reach[b])
 
 
 @st.composite
@@ -267,89 +276,64 @@ class TestPropagate:
 
 
 class TestEntailment:
+    # the formula entails body -> head when the head lies in the closure
     def test_chain(self):
         f = parse_formula(["a->b", "b->c"])
-        assert entails_clause(f, "a", "c")
+        u = f.universe
+        assert closure_mask(f, u.mask("a")) >> u.id("c") & 1
 
     def test_tautology_always(self):
         f = parse_formula(["a->b", "b->c"])
-        assert entails_clause(f, "a", "a")
-        empty = Formula(f.universe, [])
-        assert entails_clause(empty, "a", "a")
+        u = f.universe
+        assert closure_mask(f, u.mask("a")) >> u.id("a") & 1
+        empty = Formula(u, [])
+        assert closure_mask(empty, u.mask("a")) >> u.id("a") & 1
 
     def test_empty_formula(self):
         f = Formula(Universe("ab"), [])
-        assert not entails_clause(f, "a", "b")
-
-
-class TestBodyOrders:
-    def test_equivalent_singletons(self):
-        f = parse_formula(["a->b", "b->a"])
-        assert body_equiv(f, "a", "b")
-
-    def test_reflexive(self):
-        f = parse_formula(["ab->c"])
-        for body in ("a", "ab", "c", ""):
-            assert body_leq(f, body, body)
-
-    def test_direction(self):
-        f = parse_formula(["ab->c"])
-        assert body_leq(f, "c", "ab")
-        assert not body_leq(f, "ab", "c")
-
-    def test_equiv_is_equivalence_and_lt_strict(self):
-        for f in sample_formulas(4, 60, 5, 2, seed=202):
-            u = f.universe
-            n = len(u)
-            names = [u.names_of(m) for m in range(1 << n)]
-            for a, b, c in itertools.product(names[:8], repeat=3):
-                if body_equiv(f, a, b):
-                    assert body_equiv(f, b, a)
-                    if body_equiv(f, b, c):
-                        assert body_equiv(f, a, c)
-                assert not body_lt(f, a, a)
-                if body_lt(f, a, b) and body_lt(f, b, c):
-                    assert body_lt(f, a, c)
+        assert not closure_mask(f, f.universe.mask("a")) >> 1 & 1
 
 
 class TestRcnUcl:
     def test_seed_member_rederived(self):
         f = parse_formula(["y->z", "z->y"], universe=Universe("xyz"))
-        analysis = rcn_ucl(f, {"x", "y"})
-        assert analysis.bcn == {"x", "y", "z"}
-        assert analysis.rcn == {"y", "z"}
-        assert texts(analysis.ucl_formula()) == {"y->z", "z->y"}
+        u = f.universe
+        analysis = analyze_body(f, u.mask("xy"))
+        assert analysis.body_mask == u.mask("xy")
+        assert analysis.bcn_mask == u.mask("xyz")
+        assert analysis.rcn_mask == u.mask("yz")
+        assert texts(Formula(u, analysis.ucl)) == {"y->z", "z->y"}
 
     def test_all_clauses_used(self):
         f = parse_formula(["a->b", "b->c", "c->b"])
-        analysis = rcn_ucl(f, "a")
-        assert analysis.rcn == {"b", "c"}
+        analysis = analyze_body(f, f.universe.mask("a"))
+        assert analysis.rcn_mask == f.universe.mask("bc")
         assert set(analysis.ucl) == set(f.clauses)
 
     def test_empty_seed(self):
         f = parse_formula(["a->b", "bc->d"])
-        analysis = rcn_ucl(f, "")
-        assert analysis.bcn == analysis.rcn == frozenset()
+        analysis = analyze_body(f, 0)
+        assert analysis.bcn_mask == analysis.rcn_mask == 0
         assert analysis.ucl == ()
 
     def test_bcn_is_body_union_rcn(self):
         for f in sample_formulas(5, 120, 6, 3, seed=303):
             n = len(f.universe)
             for seed in range(0, 1 << n, 5):
-                analysis = rcn_ucl(f, f.universe.names_of(seed))
+                analysis = analyze_body(f, seed)
                 assert analysis.bcn_mask == seed | analysis.rcn_mask
 
     def test_ucl_preserves_consequences(self):
         for f in sample_formulas(5, 120, 6, 3, seed=404):
             n = len(f.universe)
             for seed in range(0, 1 << n, 5):
-                analysis = rcn_ucl(f, f.universe.names_of(seed))
-                part = analysis.ucl_formula()
+                analysis = analyze_body(f, seed)
+                part = Formula(f.universe, analysis.ucl)
                 assert naive_bcn(part, seed) == analysis.bcn_mask
 
     def test_ucl_bodies_inside_bcn(self):
         for f in sample_formulas(5, 60, 6, 3, seed=505):
-            analysis = rcn_ucl(f, "a")
+            analysis = analyze_body(f, f.universe.mask("a"))
             for c in analysis.ucl:
                 assert c.body & ~analysis.bcn_mask == 0
 

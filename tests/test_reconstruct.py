@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import PADDED_PRODUCT, PRODUCT, formulas
 from helpers import (closure_equality_accept, closure_rest_need,
-                     listed_rcn_equality, naive_bcn, product_order_search)
+                     listed_rcn_equality, naive_bcn, naive_body_equiv,
+                     naive_body_lt, product_order_search)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
-                                body_equiv, body_lt, is_single_head,
-                                parse_formula, propagate)
+                                is_single_head, parse_formula, propagate)
 from singlehead.oracle import formulas_equivalent, sample_formulas
 from singlehead.reconstruct import (Inconclusive, NotSingleHead, Options,
                                     Success, _body_vars, apply_iteration,
@@ -81,7 +81,7 @@ class TestChooseMinimalBody:
 
 
 class TestBodyOrder:
-    def test_choice_and_retirement_match_name_level_order(self):
+    def test_choice_and_retirement_match_body_order_reference(self):
         # chosen: the canonically first pending body with no pending body
         # strictly below it; retired: exactly the pending bodies equivalent
         # to it
@@ -89,22 +89,20 @@ class TestBodyOrder:
         for n in (4, 5, 6):
             for f in sample_formulas(n, 60, n + 2, 3, seed=1200 + n):
                 state = new_state(f)
-                names = f.universe.names_of
                 while state.agenda:
                     pending = sorted(state.agenda, key=bit_ids)
                     body = choose_minimal_body(state)
                     expected = next(
                         p for p in pending
-                        if not any(body_lt(f, names(o), names(p))
-                                   for o in pending))
+                        if not any(naive_body_lt(f, o, p) for o in pending))
                     assert body == expected, f.clause_texts()
                     trace, failure = run_iteration(state, body, Options())
                     if failure is not None:
                         break
                     apply_iteration(state, body, trace.accepted)
                     retired = set(pending) - set(state.agenda)
-                    assert retired == {p for p in pending if body_equiv(
-                        f, names(p), names(body))}, f.clause_texts()
+                    assert retired == {p for p in pending if naive_body_equiv(
+                        f, p, body)}, f.clause_texts()
                     steps += 1
         assert steps > 300
 
@@ -377,8 +375,7 @@ class TestReconstruct:
                     partial.extend(earlier.accepted)
                 g = Formula(f.universe, partial)
                 for earlier in traces[:k]:
-                    if not body_lt(f, f.universe.names_of(earlier.body),
-                                   f.universe.names_of(later)):
+                    if not naive_body_lt(f, earlier.body, later):
                         continue
                     analysis = analyze_body(f, earlier.body)
                     target = _hclose(analysis.rcn_mask, analysis.ucl)
