@@ -99,8 +99,12 @@ class Universe:
         return frozenset(self.names[i] for i in bit_ids(mask))
 
     def body_text(self, mask: int) -> str:
+        """The names of a mask, joined without commas only when every name
+        of the universe is one lowercase letter, so that a text of two or
+        more names parses back (`parse_variables`)."""
         names = [self.names[i] for i in bit_ids(mask)]
-        if all(len(n) == 1 for n in self.names):
+        if all(len(n) == 1 and n.isalpha() and n.islower()
+               for n in self.names):
             return "".join(names)
         return ",".join(names)
 

@@ -14,12 +14,13 @@ one.
 The three rejection filters and the pool reduction can each be switched
 off; only the reduction can change the witness, and none the verdict.
 
-The search walks an iteration's assignments depth-first and decides each
-in one place, which settles the candidates extending a prefix as one block
-when filter 1 or 3 rejects all of them.  Both filters are monotone in the
-clause set, so the counts, where the budget runs out and the accepted
-candidate are those of testing each candidate on its own in canonical
-order.
+One generator, `enumerate_candidates`, walks an iteration's assignments
+depth-first and decides each: it keeps the budget, counts, and runs
+filters 1 and 3 and the acceptance check.  It settles the candidates
+extending a prefix as one block when filter 1 or 3 rejects all of them.
+Both filters are monotone in the clause set, so the counts, where the
+budget runs out and the accepted candidate are those of testing each
+candidate on its own in canonical order.
 """
 
 from __future__ import annotations
@@ -191,9 +192,6 @@ def candidate_space(state: ReconstructionState, body: int,
     return pool, _minbodies(pool, state.g)
 
 
-Settle = Callable[[tuple[int, ...]], bool]
-
-
 def head_options(head_ids: Sequence[int], pool_bodies: Sequence[int],
                  exclude_tautological: bool = True) -> list[Sequence[int]]:
     """The body options of each head, in the order of `head_ids`: the pool
@@ -203,43 +201,6 @@ def head_options(head_ids: Sequence[int], pool_bodies: Sequence[int],
     if not exclude_tautological:
         return [pool_bodies] * len(head_ids)
     return [[b for b in pool_bodies if not b >> h & 1] for h in head_ids]
-
-
-def enumerate_candidates(per_head: Sequence[Sequence[int]], settle: Settle
-                         ) -> Iterator[tuple[int, ...]]:
-    """Assignments of one option to every head, as tuples of body masks,
-    walked depth-first: heads in order and each head's options in order,
-    which is canonical order for `head_options` over heads in ascending
-    id and pool bodies in canonical body order.
-
-    `settle(prefix)` is called at every whole candidate and every nonempty
-    proper prefix; when it returns true the candidates extending the
-    prefix are skipped.  With no heads the one candidate is `()`.
-    """
-    if not per_head:
-        if not settle(()):
-            yield ()
-        return
-    last = len(per_head) - 1
-    prefix: list[int] = []
-    stack = [iter(per_head[0])]
-    while stack:
-        for b in stack[-1]:
-            if len(prefix) == last:
-                candidate = (*prefix, b)
-                if not settle(candidate):
-                    yield candidate
-                continue
-            prefix.append(b)
-            if settle(tuple(prefix)):
-                prefix.pop()
-                continue
-            stack.append(iter(per_head[len(prefix)]))
-            break
-        else:
-            stack.pop()
-            if prefix:
-                prefix.pop()
 
 
 def _body_vars(bodies: Iterable[int]) -> int:
@@ -322,10 +283,10 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
     that of `other | later` under `with_candidate`, and the listed clauses
     fire only heads of `later`.  So when the heads that `with_candidate`
     fires, plus `later`, are not `rcn`, they miss a variable of it, as
-    fired heads never leave `rcn` (see `_BlockSettler`), and the test
-    fails either way.  When they are `rcn`, the closure holds `rcn` and
-    `other`.  Every pool body holds the body variables outside `rcn`: a
-    body `B` without one of them, `v`, has a closure without `v`, as no
+    fired heads never leave `rcn` (see `enumerate_candidates`), and the
+    test fails either way.  When they are `rcn`, the closure holds `rcn`
+    and `other`.  Every pool body holds the body variables outside `rcn`:
+    a body `B` without one of them, `v`, has a closure without `v`, as no
     clause that fires inside `bcn` heads `v`; so the input bodies that
     fire from `B` lie strictly below this body and were processed before
     it, `g` heads all that `B` derives, and `B` is no minimal body of this
@@ -377,21 +338,58 @@ def apply_iteration(state: ReconstructionState, body: int,
                     if state.analyses[p].bcn_mask != analysis.bcn_mask]
 
 
-class _BlockSettler:
-    """The `settle` hook of `enumerate_candidates` for one iteration, and
-    the one place where a candidate is decided: it keeps the budget,
-    counts, runs filters 1 and 3 and `check_accept` and sets
-    `trace.accepted`, so the walk yields only the candidate where the
-    iteration stops, the accepted one or the first one past the budget.  It
-    settles the candidates extending a prefix as one block when a check
-    shows that filter 1 or filter 3 rejects every one of them, and counts
-    each toward the filter that rejects it when tested one by one.
+def _tables(head_ids: Sequence[int], per_head: Sequence[Sequence[int]]
+            ) -> tuple[list[int], list[int], Callable[[int, int], int]]:
+    """From each head on: the number of completions (`leaves`) and the mask
+    of the heads (`later`); and `covering(d, missing)`, the number of
+    completions from head `d` on whose bodies supply `missing`."""
+    leaves, supply, later = [1], [0], [0]
+    for h, bodies in zip(reversed(head_ids), reversed(per_head)):
+        leaves.insert(0, leaves[0] * len(bodies))
+        supply.insert(0, supply[0] | _body_vars(bodies))
+        later.insert(0, later[0] | 1 << h)
+    memo: dict[tuple[int, int], int] = {}
+
+    def covering(d: int, missing: int) -> int:
+        if not missing:
+            return leaves[d]
+        if missing & ~supply[d]:
+            return 0
+        key = (d, missing)
+        if key not in memo:
+            memo[key] = sum(covering(d + 1, missing & ~b)
+                            for b in per_head[d])
+        return memo[key]
+
+    return leaves, later, covering
+
+
+def enumerate_candidates(state: ReconstructionState, body: int,
+                         trace: IterationTrace, head_ids: Sequence[int],
+                         per_head: Sequence[Sequence[int]],
+                         budget: Optional[int], need: int,
+                         checked: Sequence[int]
+                         ) -> Iterator[tuple[int, ...]]:
+    """Walk the iteration's candidates and decide each one; yields only the
+    candidate where the iteration stops, the accepted one (also set as
+    `trace.accepted`) or the first one past the budget.
+
+    A candidate assigns one option to every head, as a tuple of body
+    masks.  The walk is depth-first over a stack of prefixes that starts
+    at `()`: heads in order and each head's options in order, which is
+    canonical order for `head_options` over heads in ascending id and pool
+    bodies in canonical body order.  With no heads `()` is the one
+    candidate.  The walk keeps the budget, counts, and runs filters 1 and 3
+    and `check_accept`.  It settles the candidates extending a proper prefix as
+    one block when a check shows that filter 1 or filter 3 rejects every
+    one of them, and counts each toward the filter that rejects it when
+    tested one by one.
 
     It reads no switch: with filter 1 off `need` is 0, so `covering(d, 0)`
     is the whole block and filter 1 passes, and with filter 3 off it has
     no pool bodies to visit (`checked`), so `filter_rcn_equality` passes.
 
-    A whole candidate is a block of one: filter 1 is
+    A whole candidate is tested on its own: filter 1 is
     `filter_body_coverage(need, bodies)`, and filter 3 and `check_accept`
     run on its clauses.  At a proper prefix both checks look forward, and
     both are monotone in the clause set.  `covering(d, missing)` is the
@@ -412,82 +410,47 @@ class _BlockSettler:
     the budget, for `run_iteration` to stop at it.
 
     No proper prefix is checked before the first candidate is tested, and
-    the tables are built at the first such check: most iterations of small
-    formulas have one head or accept their first candidate, and a check,
-    tables included, costs about what testing a candidate costs (filters
-    1 and 3 and `check_accept`).
+    the tables (`_tables`) are built at the first such check: most
+    iterations of small formulas have one head or accept their first
+    candidate, and a check, tables included, costs about what testing a
+    candidate costs (filters 1 and 3 and `check_accept`).
     """
-
-    # built once per iteration: a slotted class builds faster than a closure
-    __slots__ = ("state", "body", "trace", "head_ids", "per_head", "budget",
-                 "need", "checked", "leaves", "later", "covering")
-
-    def __init__(self, state: ReconstructionState, body: int,
-                 trace: IterationTrace, head_ids: Sequence[int],
-                 per_head: Sequence[Sequence[int]], budget: Optional[int],
-                 need: int, checked: Sequence[int]) -> None:
-        self.state, self.body, self.trace = state, body, trace
-        self.head_ids, self.per_head, self.budget = head_ids, per_head, budget
-        self.need, self.checked = need, checked
-        self.covering: Optional[Callable[[int, int], int]] = None
-
-    def _tables(self) -> None:
-        """From each head on: the number of completions, the variables of
-        their bodies and the mask of the heads; and `covering`."""
-        per_head = self.per_head
-        leaves, supply, later = [1], [0], [0]
-        for h, bodies in zip(reversed(self.head_ids), reversed(per_head)):
-            leaves.insert(0, leaves[0] * len(bodies))
-            supply.insert(0, supply[0] | _body_vars(bodies))
-            later.insert(0, later[0] | 1 << h)
-        memo: dict[tuple[int, int], int] = {}
-
-        def covering(d: int, missing: int) -> int:
-            if not missing:
-                return leaves[d]
-            if missing & ~supply[d]:
-                return 0
-            key = (d, missing)
-            if key not in memo:
-                memo[key] = sum(covering(d + 1, missing & ~b)
-                                for b in per_head[d])
-            return memo[key]
-
-        self.leaves, self.later, self.covering = leaves, later, covering
-
-    def __call__(self, prefix: tuple[int, ...]) -> bool:
-        trace = self.trace
+    hits = trace.filter_hits
+    covering = None
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         d = len(prefix)
-        whole = d == len(self.head_ids)
-        if not whole:
-            if not trace.candidates_tested:
-                return False
-            if self.covering is None:
-                self._tables()
-        block = 1 if whole else self.leaves[d]
-        if self.budget is not None \
-                and trace.candidates_tested + block > self.budget:
-            return False
-        if whole:
-            passing = int(filter_body_coverage(self.need, prefix))
-        else:
-            passing = self.covering(d, self.need & ~_body_vars(prefix))
-        if passing:
-            clauses = self.state.g + list(zip(self.head_ids, prefix))
-            if filter_rcn_equality(self.state, self.body, clauses,
-                                   self.checked,
-                                   0 if whole else self.later[d]):
-                if not whole:
-                    return False
-                trace.candidates_tested += 1
-                if not check_accept(self.state, self.body, clauses):
-                    return True
-                trace.accepted = tuple(map(Clause, self.head_ids, prefix))
-                return False
-        trace.candidates_tested += block
-        trace.filter_hits["body_coverage"] += block - passing
-        trace.filter_hits["consequence_equality"] += passing
-        return True
+        if d == len(head_ids):
+            if budget is not None and trace.candidates_tested >= budget:
+                yield prefix
+                return
+            trace.candidates_tested += 1
+            if not filter_body_coverage(need, prefix):
+                hits["body_coverage"] += 1
+                continue
+            clauses = state.g + list(zip(head_ids, prefix))
+            if not filter_rcn_equality(state, body, clauses, checked):
+                hits["consequence_equality"] += 1
+            elif check_accept(state, body, clauses):
+                trace.accepted = tuple(map(Clause, head_ids, prefix))
+                yield prefix
+                return
+            continue
+        if trace.candidates_tested:
+            if covering is None:
+                leaves, later, covering = _tables(head_ids, per_head)
+            block = leaves[d]
+            if budget is None or trace.candidates_tested + block <= budget:
+                passing = covering(d, need & ~_body_vars(prefix))
+                if not passing or not filter_rcn_equality(
+                        state, body, state.g + list(zip(head_ids, prefix)),
+                        checked, later[d]):
+                    trace.candidates_tested += block
+                    hits["body_coverage"] += block - passing
+                    hits["consequence_equality"] += passing
+                    continue
+        stack.extend([prefix + (b,) for b in reversed(per_head[d])])
 
 
 def run_iteration(state: ReconstructionState, body: int, options: Options
@@ -495,9 +458,9 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     """Search this body's candidates in canonical order; returns (trace,
     failure), with the accepted candidate, if any, in `trace.accepted`.
 
-    Each candidate is decided inside the walk (`_BlockSettler`), alone or
-    in a block; the walk yields only the accepted candidate or the first
-    one past the budget.  It alone reads the filter switches.
+    Each candidate is decided inside the walk (`enumerate_candidates`),
+    alone or in a block; the walk yields only the accepted candidate or
+    the first one past the budget.  It alone reads the filter switches.
     """
     heads = compute_heads(state, body)
     pool, reduced = candidate_space(state, body, options.minbodies)
@@ -519,11 +482,11 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
         return trace, "head_reachability"
 
     per_head = head_options(head_ids, pool_bodies, options.body_coverage)
-    settle = _BlockSettler(
-        state, body, trace, head_ids, per_head, options.budget,
-        supply & free if options.body_coverage else 0,
-        pool_bodies if options.consequence_equality else ())
-    if next(enumerate_candidates(per_head, settle), None) is None:
+    if next(enumerate_candidates(
+            state, body, trace, head_ids, per_head, options.budget,
+            supply & free if options.body_coverage else 0,
+            pool_bodies if options.consequence_equality else ()),
+            None) is None:
         return trace, "exhausted"
     return trace, "budget" if trace.accepted is None else None
 

@@ -7,7 +7,7 @@ import pytest
 
 from singlehead.cli import run_cli
 from singlehead.corpus import load_corpus_file
-from singlehead.formula import Universe, parse_formula
+from singlehead.formula import Universe, parse_formula, parse_variables
 
 
 def run(argv):
@@ -206,6 +206,20 @@ class TestJson:
         assert first["heads"] == "a,b,foo,x"
         assert "a,b->x" in first["accepted"]
         assert first["accepted"] == result["output"]
+
+    def test_one_character_names_that_are_not_letters(self):
+        # a capital or `_` keeps the commas, so that the texts parse back
+        _, out, _ = run(["--json", "--trace",
+                         "-f", "A,b->c", "c,->A", "c,->b"])
+        result = json.loads(out)["results"][0]
+        first = result["trace"][0]
+        assert (first["body"], first["heads"]) == ("A,b", "A,b,c")
+        assert result["output"] == ["c,->A", "c->b", "A,b->c"]
+        universe = Universe(result["variables"])
+        assert universe.mask(parse_variables(first["heads"])) \
+            == universe.mask("Abc")
+        _, out, _ = run(["--trace", "-f", "_,a->b"])
+        assert "iteration 1: body=_,a heads=b " in out
 
     def test_mixed_length_failing_body(self):
         _, out, _ = run(["--json", "--trace",

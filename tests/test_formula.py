@@ -129,6 +129,26 @@ class TestParsing:
         assert formula_items(again) == items
 
 
+class TestBodyText:
+    @pytest.mark.parametrize("names, body, text", [
+        ("abc", "ac", "ac"),
+        (["A", "b", "c"], ["A", "b"], "A,b"),
+        (["_", "a"], ["_", "a"], "_,a"),
+        (["a", "foo"], ["a", "foo"], "a,foo"),
+        (["a", "b", "x1"], ["a", "b"], "a,b"),
+    ], ids=["letters", "capital", "underscore", "long-name", "digit-name"])
+    def test_parses_back(self, names, body, text):
+        u = Universe(names)
+        assert u.body_text(u.mask(body)) == text
+        assert parse_variables(text) == sorted(body)
+
+    def test_clause_items_re_parse(self):
+        u = Universe(["A", "b", "c"])
+        f = parse_formula(["A,b->c", "c,->A", "c,->b"], universe=u)
+        assert f.clause_texts() == ["c,->A", "c->b", "A,b->c"]
+        assert parse_formula(f.clause_texts(), universe=u) == f
+
+
 class TestSmallAccessors:
     def test_formula_repr(self):
         assert repr(parse_formula(["a->b", "b=c"])) \

@@ -14,18 +14,22 @@ from helpers import (closure_equality_accept, closure_rest_need,
                      naive_body_lt, product_order_search)
 
 from singlehead.closure import _hclose, _minbodies
-from singlehead.formula import (Clause, Formula, analyze_body, bit_ids,
-                                is_single_head, parse_formula, propagate)
+from singlehead.formula import (Clause, Formula, Universe, analyze_body,
+                                bit_ids, is_single_head, parse_formula,
+                                propagate)
 from singlehead.oracle import formulas_equivalent, sample_formulas
-from singlehead.reconstruct import (Inconclusive, NotSingleHead, Options,
-                                    Success, _body_vars, apply_iteration,
-                                    candidate_space,
+from singlehead.reconstruct import (FILTER_NAMES, Inconclusive,
+                                    IterationTrace, NotSingleHead, Options,
+                                    Success, _body_vars, _tables,
+                                    apply_iteration, candidate_space,
                                     check_accept, choose_minimal_body,
                                     compute_heads, enumerate_candidates,
                                     filter_body_coverage, filter_maxit,
                                     filter_rcn_equality, head_options,
                                     new_state, precompute_bodies, reconstruct,
                                     rest_need, run_iteration)
+
+RECONSTRUCT = importlib.import_module("singlehead.reconstruct")
 
 ALL_OFF = Options(body_coverage=False, head_reachability=False,
                   consequence_equality=False, minbodies=False)
@@ -149,61 +153,76 @@ class TestCandidateSpace:
         assert pool == reduced == frozenset([only])
 
 
-def never_settle(prefix):
-    return False
-
-
 class TestEnumerateCandidates:
-    u = parse_formula(["ab->xy"]).universe
+    """The walk over options that nothing from body `d` accepts: filter 3
+    has no pool bodies to visit, and filter 1 needs `need`."""
 
-    def _candidates(self, heads, pool, settle=never_settle, **kwargs):
-        per_head = head_options(bit_ids(self.u.mask(heads)),
-                                [self.u.mask(b) for b in pool], **kwargs)
-        return list(enumerate_candidates(per_head, settle))
+    u = Universe("abcdxy")
+    state = new_state(parse_formula(["d->xy"], universe=u))
+
+    def _walk(self, heads, pool, budget=None, need="", **kwargs):
+        """(trace, yielded candidate, candidates passed to filter 1)."""
+        head_ids = bit_ids(self.u.mask(heads))
+        per_head = head_options(head_ids, [self.u.mask(b) for b in pool],
+                                **kwargs)
+        trace = IterationTrace(self.u.mask("d"), self.u.mask(heads), 0, 0, 0,
+                               dict.fromkeys(FILTER_NAMES, 0), None)
+        with mock.patch.object(RECONSTRUCT, "filter_body_coverage",
+                               wraps=filter_body_coverage) as spy:
+            stop = next(enumerate_candidates(
+                self.state, self.u.mask("d"), trace, head_ids, per_head,
+                budget, self.u.mask(need), ()), None)
+        return trace, stop, [call.args[1] for call in spy.call_args_list]
 
     def test_two_heads_two_bodies(self):
-        combos = self._candidates("xy", ["a", "b"])
-        assert len(combos) == 4
-        assert all(len(c) == 2 for c in combos)
+        trace, stop, tested = self._walk("xy", ["a", "b"])
+        assert stop is None and trace.accepted is None
+        assert trace.candidates_tested == len(tested) == 4
+        assert all(len(c) == 2 for c in tested)
 
     def test_empty_heads_single_empty_assignment(self):
-        assert list(enumerate_candidates(head_options([], []),
-                                         never_settle)) == [()]
-        # with no heads `()` is the whole candidate, and meets the hook
-        seen = []
-        assert list(enumerate_candidates([], seen.append)) == [()]
-        assert seen == [()]
-        assert list(enumerate_candidates([], lambda prefix: True)) == []
+        assert head_options([], []) == []
+        # with no heads `()` is the whole candidate: tested once, then
+        # counted, or accepted when `g` already entails the body's `ucl`
+        trace, stop, tested = self._walk("", [])
+        assert (stop, tested, trace.candidates_tested) == (None, [()], 1)
+        f = parse_formula(["a->b"])
+        state = advance(f, 1)
+        body = f.universe.mask("a")
+        trace = IterationTrace(body, 0, 0, 0, 0,
+                               dict.fromkeys(FILTER_NAMES, 0), None)
+        assert next(enumerate_candidates(state, body, trace, (), [], None,
+                                         0, [body])) == ()
+        assert (trace.candidates_tested, trace.accepted) == (1, ())
 
     def test_tautological_pairings_excluded_by_default(self):
-        combos = self._candidates("ax", ["a", "b"])
+        a, b = self.u.mask("a"), self.u.mask("b")
+        head_ids = bit_ids(self.u.mask("ax"))
         # head a cannot take body {a}
-        assert len(combos) == 2
-        raw = self._candidates("ax", ["a", "b"], exclude_tautological=False)
-        assert len(raw) == 4
+        assert head_options(head_ids, [a, b]) == [[b], [a, b]]
+        assert head_options(head_ids, [a, b], exclude_tautological=False) \
+            == [[a, b], [a, b]]
 
     def test_canonical_order(self):
-        combos = self._candidates("xy", ["a", "b"])
-        bodies = [[bit_ids(b) for b in combo] for combo in combos]
-        assert bodies == sorted(bodies)
-
-    def test_whole_candidates_reach_settle(self):
-        seen = []
-        combos = self._candidates("xy", ["a", "b"], seen.append)
         a, b = self.u.mask("a"), self.u.mask("b")
-        assert combos == [(a, a), (a, b), (b, a), (b, b)]
-        assert seen == [(a,), (a, a), (a, b), (b,), (b, a), (b, b)]
-        seen.clear()
-        assert self._candidates("x", ["a", "b"], seen.append) == [(a,), (b,)]
-        assert seen == [(a,), (b,)]
+        # the candidate past a budget of k is the (k+1)-th one
+        past = [self._walk("xy", ["a", "b"], budget)[1] for budget in range(4)]
+        assert past == [(a, a), (a, b), (b, a), (b, b)]
+        assert self._walk("xy", ["a", "b"])[2] == past
+        assert self._walk("xy", ["a", "b"], 4)[1] is None
 
     def test_settled_prefix_yields_nothing_under_it(self):
-        a, b = self.u.mask("a"), self.u.mask("b")
-        for settle in (lambda prefix: len(prefix) == 2, lambda prefix: True):
-            assert self._candidates("xy", ["a", "b"], settle) == []
-        assert self._candidates("xy", ["a", "b"],
-                                lambda prefix: prefix == (a,)) \
-            == [(b, a), (b, b)]
+        a, b, c = self.u.mask("a"), self.u.mask("b"), self.u.mask("c")
+        trace, stop, tested = self._walk("xy", ["a", "b", "c"], need="ac")
+        # no completion of (b,) supplies both a and c: its block of 3 is
+        # counted toward filter 1 and none of it is tested
+        assert tested == [(a, a), (a, b), (a, c), (c, a), (c, b), (c, c)]
+        assert trace.candidates_tested == 9
+        assert trace.filter_hits["body_coverage"] == 7
+        # a budget that the block would cross walks into it
+        trace, stop, tested = self._walk("xy", ["a", "b", "c"], 4, "ac")
+        assert tested == [(a, a), (a, b), (a, c), (b, a)]
+        assert stop == (b, b) and trace.candidates_tested == 4
 
 
 class TestFilters:
@@ -501,9 +520,6 @@ class TestSearchWork:
             assert len(calls) == expected
 
 
-RECONSTRUCT = importlib.import_module("singlehead.reconstruct")
-
-
 def _precheck_run(f, outcomes, every_body=True):
     """`rest_need` against the whole `rest` closure at every pending body,
     or only at the chosen one, of every state that `reconstruct` reaches
@@ -615,9 +631,8 @@ def _every_candidate(f):
         head_ids = bit_ids(compute_heads(state, body))
         pool, _ = candidate_space(state, body, reduce_pool=False)
         pool_bodies = sorted({c.body for c in pool}, key=bit_ids)
-        for bodies in enumerate_candidates(head_options(
-                head_ids, pool_bodies, exclude_tautological=False),
-                never_settle):
+        for bodies in itertools.product(*head_options(
+                head_ids, pool_bodies, exclude_tautological=False)):
             yield state, body, state.g + list(map(Clause, head_ids, bodies))
 
 
@@ -666,6 +681,46 @@ class TestLaterHeadsAsMask:
     @given(formulas(max_vars=6, max_clauses=8), st.randoms())
     def test_drawn_formulas(self, f, rng):
         _forward_checks(f, rng, collections.Counter())
+
+
+class TestTables:
+    """`_tables` against the definitions of its tables, at every depth of
+    every iteration that `reconstruct` reaches, filter 1 on and off."""
+
+    def test_sampled_formulas(self):
+        rng = random.Random(2100)
+        outcomes = collections.Counter()
+        for n in range(4, 8):
+            for f in sample_formulas(n, 60, n + 3, 2, seed=2100 + n):
+                for state, body, _ in _reduction_contexts(f):
+                    head_ids = bit_ids(compute_heads(state, body))
+                    _, reduced = candidate_space(state, body)
+                    pool_bodies = sorted({c.body for c in reduced},
+                                         key=bit_ids)
+                    for exclude in (True, False):
+                        self._check(head_ids, head_options(
+                            head_ids, pool_bodies, exclude), n, rng, outcomes)
+        # none, some and all of the completions cover
+        assert all(outcomes[kind] > 100 for kind in ("none", "some", "all"))
+
+    @staticmethod
+    def _check(head_ids, per_head, n, rng, outcomes):
+        leaves, later, covering = _tables(head_ids, per_head)
+        assert len(leaves) == len(later) == len(head_ids) + 1
+        for d in range(len(head_ids) + 1):
+            supplies = [_body_vars(completion) for completion
+                        in itertools.product(*per_head[d:])]
+            assert leaves[d] == len(supplies)
+            assert later[d] == _body_vars(1 << h for h in head_ids[d:])
+            supplied = _body_vars(supplies)
+            for within in (False, True, True):
+                # half the draws only miss variables the bodies supply
+                missing = rng.getrandbits(n) & (supplied if within else -1)
+                got = covering(d, missing)
+                assert got == sum(not missing & ~s for s in supplies), \
+                    (head_ids, per_head, d, missing)
+                outcomes["none" if not got else
+                         "all" if got == leaves[d] else "some"] += 1
 
 
 class TestAcceptFastPath:
@@ -763,23 +818,20 @@ class TestBlockSettling:
     """Candidates settled as a block by a forward check are counted as
     testing them one by one in canonical order counts them."""
 
-    def test_sampled_formulas(self, monkeypatch):
-        settler = RECONSTRUCT._BlockSettler
-        original = settler.__call__
-        settled = steps = 0
-
-        def counting(self, prefix):
-            nonlocal settled
-            done = original(self, prefix)
-            if done and len(prefix) < len(self.head_ids):
-                settled += self.leaves[len(prefix)]
-            return done
-
-        monkeypatch.setattr(settler, "__call__", counting)
-        for n in range(4, 8):
-            for f in sample_formulas(n, 120, n + 4, 2, seed=1800 + n):
-                for options in _switch_combinations():
-                    steps += len(_compare_with_product_order(f, options))
+    def test_sampled_formulas(self):
+        tested = steps = 0
+        with mock.patch.object(RECONSTRUCT, "filter_body_coverage",
+                               wraps=filter_body_coverage) as spy:
+            for n in range(4, 8):
+                for f in sample_formulas(n, 120, n + 4, 2, seed=1800 + n):
+                    for options in _switch_combinations():
+                        traces = _compare_with_product_order(f, options)
+                        steps += len(traces)
+                        tested += sum(t.candidates_tested for t in traces)
+        # every candidate tested on its own meets filter 1 with two
+        # arguments; the rest were settled in blocks
+        settled = tested - sum(len(call.args) == 2
+                               for call in spy.call_args_list)
         assert steps > 15000
         assert settled > 30000   # 33,439, in blocks of any size
 
@@ -870,8 +922,8 @@ class TestFilterTransparency:
                                              key=bit_ids)
                         need = _body_vars(c.body for c in pool) \
                             & ~state.g_body_vars
-                        for bodies in enumerate_candidates(head_options(
-                                head_ids, pool_bodies, False), never_settle):
+                        for bodies in itertools.product(*head_options(
+                                head_ids, pool_bodies, False)):
                             clauses = state.g + list(zip(head_ids, bodies))
                             tested += 1
                             if not check_accept(state, body, clauses):
