@@ -99,14 +99,24 @@ class Universe:
         return frozenset(self.names[i] for i in bit_ids(mask))
 
     def body_text(self, mask: int) -> str:
-        """The names of a mask, joined without commas only when every name
-        of the universe is one lowercase letter, so that a text of two or
-        more names parses back (`parse_variables`)."""
+        """The names of a mask, in a text that parses back to them
+        (`parse_variables`): joined without commas only when every name of
+        the universe is one lowercase letter, and a lone name that would not
+        parse back alone, such as `foo` (read letter by letter), with a
+        comma after it (`foo,`)."""
         names = [self.names[i] for i in bit_ids(mask)]
         if all(len(n) == 1 and n.isalpha() and n.islower()
                for n in self.names):
             return "".join(names)
-        return ",".join(names)
+        text = ",".join(names)
+        if len(names) == 1:
+            try:
+                if parse_variables(text) == names:
+                    return text
+            except ParseError:
+                pass
+            return text + ","
+        return text
 
     def clause_text(self, clause: Clause) -> str:
         """`body->head`, in the comma form `body,->head` when the text

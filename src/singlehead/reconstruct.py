@@ -294,11 +294,47 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
     Each head of `later` heads a `ucl` clause, which is no tautology, so
     it has a pool body without it, as the reduction keeps a body for every
     head, and its clause on that body fires.
+
+    A prefix that passed this test decides it for each child from one
+    `propagate` per pool body (`child_rcn_equality`).  Let `C` be the
+    prefix's clauses with `g`, `h` its next head, `later` the heads after
+    `h`, and `Y` the closure of `other | later` under `C`.  The child adds
+    a clause `(h, b)`, `b` a pool body.  When `b` lies in `Y`, the clause
+    fires, the closure from `other | later` is that of `other | later | h`
+    under `C`, and the fired heads plus `later` are those of the prefix's
+    test at `other`, which passed.  Otherwise the closure is `Y`, the
+    clause does not fire, and the test fails: were the heads that `C`
+    fires, plus `later`, `rcn`, `Y` would hold `rcn` and `other`, so `bcn`
+    and `b`, as above.  So the child passes at `other` exactly when `b`
+    lies in `Y`; for a whole candidate `later` is 0.
     """
     target = state.analyses[body].rcn_mask
     for other in pool_bodies:
         _, fired, _ = propagate(with_candidate, other | later)
         if fired | later != target:
+            return False
+    return True
+
+
+def child_rcn_equality(node: tuple[list[tuple[int, int]], list[int]],
+                       option: int, checked: Sequence[int], later: int
+                       ) -> bool:
+    """`filter_rcn_equality` on a child of a prefix that passed it, with
+    the later heads `later`: the child adds a clause on body `option` to
+    the prefix clauses, and passes exactly when `option` lies in the
+    closure of each pool body of `checked`, plus `later`, under the prefix
+    clauses (the proof is in `filter_rcn_equality`).
+
+    `node` holds the prefix clauses, `g` included, and those closures in
+    the order of `checked`, each made the first time a child needs it and
+    kept for its siblings; so no child costs more `propagate` calls than
+    the direct test.
+    """
+    clauses, closures = node
+    for i, other in enumerate(checked):
+        if i == len(closures):
+            closures.append(propagate(clauses, other | later)[0])
+        if option & ~closures[i]:
             return False
     return True
 
@@ -409,6 +445,15 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     settled: the walk goes on into it, and yields a whole candidate past
     the budget, for `run_iteration` to stop at it.
 
+    A prefix that passed filter 3 gives filter 3's verdict for each of its
+    children, whole or not, from its closures, one `propagate` per pool body
+    at most (`child_rcn_equality`; the proof is in `filter_rcn_equality`).
+    The walk keeps them per depth, in `nodes[d + 1]` for the node it last
+    expanded at depth `d`: every pending entry at depth `d + 1` is a child
+    of that node, as the stack holds the siblings of each prefix on the
+    path to the top.  The children of a prefix that was not checked, on
+    the first descent or over the budget, get the direct test.
+
     No proper prefix is checked before the first candidate is tested, and
     the tables (`_tables`) are built at the first such check: most
     iterations of small formulas have one head or accept their first
@@ -417,10 +462,12 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     """
     hits = trace.filter_hits
     covering = None
+    nodes: list[Optional[tuple[list[tuple[int, int]], list[int]]]] = []
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
         d = len(prefix)
+        parent = nodes[d] if nodes else None
         if d == len(head_ids):
             if budget is not None and trace.candidates_tested >= budget:
                 yield prefix
@@ -430,7 +477,9 @@ def enumerate_candidates(state: ReconstructionState, body: int,
                 hits["body_coverage"] += 1
                 continue
             clauses = state.g + list(zip(head_ids, prefix))
-            if not filter_rcn_equality(state, body, clauses, checked):
+            if not (filter_rcn_equality(state, body, clauses, checked)
+                    if parent is None else child_rcn_equality(
+                        parent, prefix[-1], checked, 0)):
                 hits["consequence_equality"] += 1
             elif check_accept(state, body, clauses):
                 trace.accepted = tuple(map(Clause, head_ids, prefix))
@@ -440,16 +489,22 @@ def enumerate_candidates(state: ReconstructionState, body: int,
         if trace.candidates_tested:
             if covering is None:
                 leaves, later, covering = _tables(head_ids, per_head)
+                nodes = [None] * (len(head_ids) + 1)
             block = leaves[d]
+            node = None
             if budget is None or trace.candidates_tested + block <= budget:
                 passing = covering(d, need & ~_body_vars(prefix))
-                if not passing or not filter_rcn_equality(
-                        state, body, state.g + list(zip(head_ids, prefix)),
-                        checked, later[d]):
+                node = (state.g + list(zip(head_ids, prefix)), [])
+                if not passing or not (
+                        filter_rcn_equality(state, body, node[0], checked,
+                                            later[d])
+                        if parent is None else child_rcn_equality(
+                            parent, prefix[-1], checked, later[d])):
                     trace.candidates_tested += block
                     hits["body_coverage"] += block - passing
                     hits["consequence_equality"] += passing
                     continue
+            nodes[d + 1] = node
         stack.extend([prefix + (b,) for b in reversed(per_head[d])])
 
 

@@ -229,6 +229,15 @@ class TestJson:
         assert result["failing_body"] == result["trace"][-1]["body"]
         assert "," in result["failing_body"]
 
+    def test_lone_long_name_body_parses_back(self):
+        # `foo` alone would be read as `f`, `o`, `o`
+        _, out, _ = run(["--json", "--trace", "-f", "foo,->c", "bar,->c"])
+        result = json.loads(out)["results"][0]
+        assert result["verdict"] == "not-single-head"
+        assert result["failing_body"] == "foo,"
+        assert [t["body"] for t in result["trace"]] == ["bar,", "foo,"]
+        assert parse_variables(result["failing_body"]) == ["foo"]
+
     def test_counters_present(self):
         _, out, _ = run(["--json", "--no-filter", "1",
                          "-t", corpus("disjointemptynotsingle.txt")])

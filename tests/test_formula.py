@@ -8,7 +8,8 @@ from conftest import formulas
 from helpers import naive_bcn, naive_entails, naive_propagate
 
 from singlehead.formula import (Clause, Formula, ParseError, Universe,
-                                analyze_body, closure_mask, formula_items,
+                                analyze_body, bit_ids, closure_mask,
+                                formula_items,
                                 is_single_head, letters, normalize,
                                 parse_formula, parse_variables, propagate)
 from singlehead.oracle import sample_formulas
@@ -136,11 +137,25 @@ class TestBodyText:
         (["_", "a"], ["_", "a"], "_,a"),
         (["a", "foo"], ["a", "foo"], "a,foo"),
         (["a", "b", "x1"], ["a", "b"], "a,b"),
-    ], ids=["letters", "capital", "underscore", "long-name", "digit-name"])
+        (["a", "foo"], ["foo"], "foo,"),
+        (["A", "b"], ["A"], "A,"),
+        (["a", "foo"], ["a"], "a"),
+        (["a", "x1"], ["x1"], "x1"),
+    ], ids=["letters", "capital", "underscore", "long-name", "digit-name",
+            "lone-long-name", "lone-capital", "lone-letter", "lone-digit-name"])
     def test_parses_back(self, names, body, text):
         u = Universe(names)
         assert u.body_text(u.mask(body)) == text
         assert parse_variables(text) == sorted(body)
+
+    @pytest.mark.parametrize("names", [
+        ["foo"], ["a", "foo"], ["A", "b", "c"], ["_", "a", "bar"],
+        ["x1", "bar", "c", "Baz"], ["a", "b", "c"]])
+    def test_every_mask_parses_back(self, names):
+        u = Universe(names)
+        for mask in range(1 << len(names)):
+            assert parse_variables(u.body_text(mask)) \
+                == [u.names[i] for i in bit_ids(mask)], mask
 
     def test_clause_items_re_parse(self):
         u = Universe(["A", "b", "c"])

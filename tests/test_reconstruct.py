@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PADDED_PRODUCT, PRODUCT, formulas
+from conftest import PADDED_PRODUCT, PRODUCT, formulas, ring
 from helpers import (closure_equality_accept, closure_rest_need,
                      listed_rcn_equality, naive_bcn, naive_body_equiv,
                      naive_body_lt, product_order_search)
@@ -413,6 +413,22 @@ class TestReconstruct:
             assert first.formula == second.formula
 
 
+def _walks(monkeypatch):
+    """The state and body of the walk (`enumerate_candidates`) in progress,
+    as the last item of the returned list, through a patched walk."""
+    walk, walks = RECONSTRUCT.enumerate_candidates, []
+
+    def tracked(state, body, *args):
+        walks.append((state, body))
+        try:
+            yield from walk(state, body, *args)
+        finally:
+            walks.pop()
+
+    monkeypatch.setattr(RECONSTRUCT, "enumerate_candidates", tracked)
+    return walks
+
+
 class TestSearchWork:
     # pinned counts: a rewrite of the search that moves any of them
     # changes the work the search does, not only what that work costs
@@ -440,9 +456,11 @@ class TestSearchWork:
         assert not any(hits.values())
 
     def _calls(self, monkeypatch, items, budget=None):
-        """Outcome, and the filter 3 and `propagate` calls it took."""
+        """Outcome, and the filter 3 (direct and from a checked prefix's
+        closures) and `propagate` calls it took."""
         module = importlib.import_module("singlehead.reconstruct")
-        calls = {"filter_rcn_equality": 0, "propagate": 0}
+        calls = {"filter_rcn_equality": 0, "child_rcn_equality": 0,
+                 "propagate": 0}
         for name in calls:
             def counting(*args, _name=name, _original=getattr(module, name)):
                 calls[_name] += 1
@@ -454,41 +472,40 @@ class TestSearchWork:
 
     def test_forward_checks_on_rings(self, monkeypatch):
         # tested one by one, ring-8 took 26,503 filter 3 and 28,202
-        # `propagate` calls, and the joined rings 89,903 and 96,780
+        # `propagate` calls, and the joined rings 89,903 and 96,780; with
+        # each child of a checked prefix tested on its own, ring-8 took 43
+        # and 197, and the joined rings 3,032 and 8,200
         out, calls = self._calls(monkeypatch, RING_8)
         assert (out.verdict, out.report.candidates_tested) \
             == ("single-head", 67147)
-        assert calls == {"filter_rcn_equality": 43, "propagate": 197}
+        assert calls == {"filter_rcn_equality": 22, "child_rcn_equality": 21,
+                         "propagate": 155}
         out, calls = self._calls(monkeypatch, JOINED_RINGS, budget=200_000)
         assert (out.verdict, out.report.candidates_tested) \
             == ("inconclusive", 200_000)
         assert out.report.filter_hits == {
             "body_coverage": 110097, "head_reachability": 0,
             "consequence_equality": 89903}
-        assert calls == {"filter_rcn_equality": 3032, "propagate": 8200}
+        assert calls == {"filter_rcn_equality": 38,
+                         "child_rcn_equality": 2994, "propagate": 2651}
 
     def test_forward_checks_get_no_later_list(self, monkeypatch):
-        # each `propagate` of filter 3 gets `g` and at most one clause per
-        # head: with every option of the later heads listed, ring-8 and
-        # the joined rings each gave up to 38 clauses, 30 past that bound
+        # each `propagate` of the walk (filter 3, direct or from a checked
+        # prefix's closures, and `check_accept`) gets `g` and at most one
+        # clause per head: with every option of the later heads listed,
+        # ring-8 and the joined rings each gave up to 38 clauses, 30 past
+        # that bound
         module = importlib.import_module("singlehead.reconstruct")
-        check, original = module.filter_rcn_equality, module.propagate
-        bounds, excess = [], []
-
-        def bounded_check(state, body, *args):
-            bounds.append(len(state.g)
-                          + compute_heads(state, body).bit_count())
-            try:
-                return check(state, body, *args)
-            finally:
-                bounds.pop()
+        original = module.propagate
+        walks, excess = _walks(monkeypatch), []
 
         def measured(clauses, seed):
-            if bounds:
-                excess.append(len(clauses) - bounds[-1])
+            if walks:
+                state, body = walks[-1]
+                excess.append(len(clauses) - len(state.g)
+                              - compute_heads(state, body).bit_count())
             return original(clauses, seed)
 
-        monkeypatch.setattr(module, "filter_rcn_equality", bounded_check)
         monkeypatch.setattr(module, "propagate", measured)
         for items, budget in ((RING_8, None), (JOINED_RINGS, 200_000)):
             excess.clear()
@@ -681,6 +698,69 @@ class TestLaterHeadsAsMask:
     @given(formulas(max_vars=6, max_clauses=8), st.randoms())
     def test_drawn_formulas(self, f, rng):
         _forward_checks(f, rng, collections.Counter())
+
+
+class TestChildVerdicts:
+    """Each verdict that a child of a checked prefix gets from the
+    prefix's closures (`child_rcn_equality`) against `filter_rcn_equality`
+    on the child's own clauses, with no more `propagate` calls."""
+
+    SETTINGS = [Options()] + [Options().without(name) for name
+                              in FILTER_NAMES + ("minbodies",)]
+
+    @staticmethod
+    def _compare(monkeypatch, outcomes):
+        cached = RECONSTRUCT.child_rcn_equality
+        original = RECONSTRUCT.propagate
+        walks, counter = _walks(monkeypatch), [0]
+
+        def counting(clauses, seed):
+            counter[0] += 1
+            return original(clauses, seed)
+
+        def compared(node, option, checked, later):
+            state, body = walks[-1]
+            head_ids = bit_ids(compute_heads(state, body))
+            clauses = node[0] + [(head_ids[len(node[0]) - len(state.g)],
+                                  option)]
+            start = counter[0]
+            got = cached(node, option, checked, later)
+            spent = counter[0] - start
+            direct = filter_rcn_equality(state, body, clauses, checked, later)
+            assert got == direct, (clauses, option, later)
+            assert spent <= counter[0] - start - spent
+            outcomes[bool(later), got] += 1
+            return got
+
+        monkeypatch.setattr(RECONSTRUCT, "propagate", counting)
+        monkeypatch.setattr(RECONSTRUCT, "child_rcn_equality", compared)
+
+    def test_rings(self, monkeypatch):
+        outcomes = collections.Counter()
+        self._compare(monkeypatch, outcomes)
+        for n in range(5, 9):
+            out = reconstruct(parse_formula(ring(list("abcdefgh"[:n]))))
+            assert isinstance(out, Success)
+        # budgets that run out inside a block, whose children then get
+        # the direct test
+        for budget in (1_000, 12_345, 77_777, 200_000):
+            out = reconstruct(parse_formula(JOINED_RINGS),
+                              Options(budget=budget))
+            assert isinstance(out, Inconclusive)
+        # whole candidates that filter 1 passes under a checked prefix
+        # here pass filter 3 too
+        assert outcomes[True, True] > 500 and outcomes[True, False] > 500
+        assert outcomes[False, True]
+
+    def test_sampled_formulas(self, monkeypatch):
+        outcomes = collections.Counter()
+        self._compare(monkeypatch, outcomes)
+        for options in self.SETTINGS:
+            for n in range(4, 9):
+                for f in sample_formulas(n, 100, n + 4, 2, seed=2200 + n):
+                    reconstruct(f, options)
+        assert all(outcomes[later, got] > 100
+                   for later in (True, False) for got in (True, False))
 
 
 class TestTables:
