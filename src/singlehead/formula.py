@@ -4,8 +4,9 @@ and the forward-chaining engine everything else is built on.
 Bodies and variable sets are bitmasks over dense variable ids, so subset,
 union and containment tests are single machine operations.  Variable names
 appear only at the edges: `Universe` interns them, parsing reads them and
-rendering writes them.  Everything else, forward chaining and body
-analysis included, takes and returns masks.
+rendering writes them by the tokenizer's rule (`_reads_alone`).
+Everything else, forward chaining and body analysis included, takes and
+returns masks.
 """
 
 from __future__ import annotations
@@ -101,36 +102,24 @@ class Universe:
     def body_text(self, mask: int) -> str:
         """The names of a mask, in a text that parses back to them
         (`parse_variables`): joined without commas only when every name of
-        the universe is one lowercase letter, and a lone name that would not
-        parse back alone, such as `foo` (read letter by letter), with a
-        comma after it (`foo,`)."""
+        the universe is one lowercase letter, else with commas, and a lone
+        name that does not read alone (`_reads_alone`), such as `foo`, with
+        a comma after it (`foo,`)."""
         names = [self.names[i] for i in bit_ids(mask)]
-        if all(len(n) == 1 and n.isalpha() and n.islower()
-               for n in self.names):
+        if all(map(_is_letter, self.names)):
             return "".join(names)
-        text = ",".join(names)
-        if len(names) == 1:
-            try:
-                if parse_variables(text) == names:
-                    return text
-            except ParseError:
-                pass
-            return text + ","
-        return text
+        if len(names) == 1 and not _reads_alone(names[0]):
+            return names[0] + ","
+        return ",".join(names)
 
     def clause_text(self, clause: Clause) -> str:
-        """`body->head`, in the comma form `body,->head` when the text
-        without a comma would not parse back to this clause (a lone name
-        such as `foo` would be read letter by letter)."""
-        body = [self.names[i] for i in bit_ids(clause.body)]
+        """`body->head` with the body from `body_text`, or `body,->head`
+        when that text has no comma and the head does not read alone."""
+        body = self.body_text(clause.body)
         head = self.names[clause.head]
-        text = self.body_text(clause.body) + "->" + head
-        try:
-            if _expand_item(text)[1] == [(body, head)]:
-                return text
-        except ParseError:
-            pass
-        return ",".join(body) + ",->" + head
+        if "," not in body and not _reads_alone(head):
+            return body + ",->" + head
+        return body + "->" + head
 
 
 @dataclass(frozen=True)
@@ -180,17 +169,26 @@ _ARROW = "->"
 _NAME_MARKS = frozenset("0123456789_")
 
 
+def _is_letter(text: str) -> bool:
+    """`text` is one lowercase letter."""
+    return len(text) == 1 and text.isalpha() and text.islower()
+
+
+def _reads_alone(name: str) -> bool:
+    """A comma-free side holding only `name` reads as that one name: the
+    name is one lowercase letter or holds a digit or `_` (`_NAME_MARKS`)."""
+    return _is_letter(name) or not _NAME_MARKS.isdisjoint(name)
+
+
 def _tokenize_side(text: str, item: str, offset: int,
-                   comma_mode: Optional[bool] = None) -> list[str]:
+                   comma_mode: bool) -> list[str]:
     """Split one side of an item into variable names.
 
-    Single lowercase letters by default.  A comma anywhere in the item
-    switches the whole item to comma-separated multi-character names; in
-    an item without one, a side holding a digit `0`-`9` or `_` is one
-    multi-character name.
+    With `comma_mode`, set when the item holds a comma anywhere, the side
+    is comma-separated multi-character names; so is a side holding a digit
+    `0`-`9` or `_`, which without commas is one name.  Any other side is
+    single lowercase letters.
     """
-    if comma_mode is None:
-        comma_mode = "," in text
     if comma_mode or not _NAME_MARKS.isdisjoint(text):
         names = []
         pos = offset
@@ -206,7 +204,7 @@ def _tokenize_side(text: str, item: str, offset: int,
     for i, ch in enumerate(text):
         if ch.isspace():
             continue
-        if not (ch.isalpha() and ch.islower()):
+        if not _is_letter(ch):
             raise ParseError(f"bad variable letter {ch!r}", item, offset + i)
         names.append(ch)
     return names
@@ -214,31 +212,27 @@ def _tokenize_side(text: str, item: str, offset: int,
 
 def _expand_item(item: str) -> tuple[list[str], list[tuple[list[str], str]]]:
     """Turn one text item into (occurring names, [(body names, head name)])."""
+    op = _ARROW if _ARROW in item else "=" if "=" in item else None
+    if op is None:
+        raise ParseError("expected '->' or '='", item, len(item))
+    left, _, right = item.partition(op)
+    start = len(left) + len(op)
+    if op in right:
+        raise ParseError(f"more than one {op!r}", item,
+                         start + right.index(op))
     comma_mode = "," in item
-    if _ARROW in item:
-        left, sep, right = item.partition(_ARROW)
-        if _ARROW in right:
-            raise ParseError("more than one '->'", item,
-                             len(left) + len(sep) + right.index(_ARROW))
-        body = _tokenize_side(left, item, 0, comma_mode)
-        heads = _tokenize_side(right, item, len(left) + len(sep), comma_mode)
-        if not heads:
-            raise ParseError("empty head list", item, len(left) + len(sep))
-        return body + heads, [(body, h) for h in heads]
-    if "=" in item:
-        left, sep, right = item.partition("=")
-        if "=" in right:
-            raise ParseError("more than one '='", item,
-                             len(left) + 1 + right.index("="))
-        xs = _tokenize_side(left, item, 0, comma_mode)
-        ys = _tokenize_side(right, item, len(left) + 1, comma_mode)
-        if not xs and not ys:
-            raise ParseError("no variable on either side of '='", item,
-                             len(left))
-        pairs = [(xs, y) for y in ys if y not in xs]
-        pairs += [(ys, x) for x in xs if x not in ys]
-        return xs + ys, pairs
-    raise ParseError("expected '->' or '='", item, len(item))
+    xs = _tokenize_side(left, item, 0, comma_mode)
+    ys = _tokenize_side(right, item, start, comma_mode)
+    if op == _ARROW:
+        if not ys:
+            raise ParseError("empty head list", item, start)
+        return xs + ys, [(xs, y) for y in ys]
+    if not xs and not ys:
+        raise ParseError("no variable on either side of '='", item,
+                         len(left))
+    pairs = [(xs, y) for y in ys if y not in xs]
+    pairs += [(ys, x) for x in xs if x not in ys]
+    return xs + ys, pairs
 
 
 def parse_formula(items: Sequence[str],
@@ -274,7 +268,7 @@ def parse_formula(items: Sequence[str],
 
 def parse_variables(text: str) -> list[str]:
     """Parse a standalone variable list (same tokenization as bodies)."""
-    return _tokenize_side(text, text, 0)
+    return _tokenize_side(text, text, 0, "," in text)
 
 
 def normalize(f: Formula) -> Formula:

@@ -49,6 +49,11 @@ def brute_force_single_head_equivalent(
     nothing left to add.  `later` leaves out an option whose body holds
     another option body of the same variable: it derives nothing more.
 
+    The root needs no check of its own: `later[0]` alone entails every
+    input clause.  A non-tautological input clause `B->h` has `B` among
+    `h`'s options, so `later[0]` holds some `h<-B'` with `B'` a subset of
+    `B`, which fires from `B`; a tautology is covered by its own body.
+
     The witness is the one a scan of every assignment in
     `itertools.product` order finds first.  Entailment is monotone in the
     clause set, so a dropped subtree holds no equivalent assignment; and
@@ -87,8 +92,6 @@ def brute_force_single_head_equivalent(
                     return found
         return None
 
-    if not _covers_input(later[0], required):
-        return None
     clauses = search(0, ())
     return None if clauses is None else Formula(universe, clauses)
 

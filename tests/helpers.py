@@ -14,7 +14,11 @@ by one, `closure_rest_need`, the earlier pre-check of filter 1,
 builds the whole `rest` closure with the shipped `_hclose`, and
 `listed_rcn_equality`, the earlier forward check of filter 3, runs the
 shipped `propagate` over every option of the later heads listed as a
-clause.
+clause.  The earlier text edge is kept too: `trial_body_text` and
+`trial_clause_text` write a text, parse it back with the shipped parser
+and fall back to a comma form when it does not read back, and
+`two_path_expand_item` expands `->` and `=` items on separate paths over
+the shipped `_tokenize_side`.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from __future__ import annotations
 import itertools
 
 from singlehead.closure import _hclose
-from singlehead.formula import (Clause, Formula, all_bodies, bit_ids,
-                                clause_key, closure_mask, propagate)
+from singlehead.formula import (Clause, Formula, ParseError, _expand_item,
+                                _tokenize_side, all_bodies, bit_ids,
+                                clause_key, closure_mask, parse_variables,
+                                propagate)
 from singlehead.oracle import UniverseTooLarge
 from singlehead.reconstruct import (FILTER_NAMES, IterationTrace,
                                     _body_vars, candidate_space,
@@ -244,3 +250,67 @@ def projected_models(f: Formula, keep_names) -> set[frozenset[str]]:
 def all_keep_sets(names):
     for r in range(len(names) + 1):
         yield from itertools.combinations(names, r)
+
+
+def trial_body_text(universe, mask: int) -> str:
+    """`Universe.body_text` by trial parsing: the names joined without
+    commas when every name of the universe is one lowercase letter, else
+    with commas, and a lone name with a comma after it unless it parses
+    back alone."""
+    names = [universe.names[i] for i in bit_ids(mask)]
+    if all(len(n) == 1 and n.isalpha() and n.islower()
+           for n in universe.names):
+        return "".join(names)
+    text = ",".join(names)
+    if len(names) == 1:
+        try:
+            if parse_variables(text) == names:
+                return text
+        except ParseError:
+            pass
+        return text + ","
+    return text
+
+
+def trial_clause_text(universe, clause: Clause) -> str:
+    """`Universe.clause_text` by trial parsing: `body->head`, or
+    `body,->head` when that does not parse back to the clause."""
+    body = [universe.names[i] for i in bit_ids(clause.body)]
+    head = universe.names[clause.head]
+    text = trial_body_text(universe, clause.body) + "->" + head
+    try:
+        if _expand_item(text)[1] == [(body, head)]:
+            return text
+    except ParseError:
+        pass
+    return ",".join(body) + ",->" + head
+
+
+def two_path_expand_item(item: str):
+    """`_expand_item` with the `->` and `=` cases each partitioning,
+    checking for a second operator and tokenizing on their own."""
+    comma_mode = "," in item
+    if "->" in item:
+        left, sep, right = item.partition("->")
+        if "->" in right:
+            raise ParseError("more than one '->'", item,
+                             len(left) + len(sep) + right.index("->"))
+        body = _tokenize_side(left, item, 0, comma_mode)
+        heads = _tokenize_side(right, item, len(left) + len(sep), comma_mode)
+        if not heads:
+            raise ParseError("empty head list", item, len(left) + len(sep))
+        return body + heads, [(body, h) for h in heads]
+    if "=" in item:
+        left, sep, right = item.partition("=")
+        if "=" in right:
+            raise ParseError("more than one '='", item,
+                             len(left) + 1 + right.index("="))
+        xs = _tokenize_side(left, item, 0, comma_mode)
+        ys = _tokenize_side(right, item, len(left) + 1, comma_mode)
+        if not xs and not ys:
+            raise ParseError("no variable on either side of '='", item,
+                             len(left))
+        pairs = [(xs, y) for y in ys if y not in xs]
+        pairs += [(ys, x) for x in xs if x not in ys]
+        return xs + ys, pairs
+    raise ParseError("expected '->' or '='", item, len(item))

@@ -128,6 +128,19 @@ class TestExitCodes:
         assert code == 0
         assert "agrees" in out
 
+    def test_oracle_on_inconclusive_run(self):
+        argv = ["--oracle", "--budget", "1",
+                "-f", "abc->de", "ad->bc", "be->ac"]
+        code, out, _ = run(argv)
+        assert code == 2
+        assert "  oracle: single-head (no comparison)\n" in out
+        code, out, _ = run(["--json"] + argv)
+        assert code == 2
+        result, = json.loads(out)["results"]
+        assert result["verdict"] == "inconclusive"
+        assert result["failure_reason"] == "candidate budget 1"
+        assert result["oracle"] == {"verdict": "single-head", "agrees": None}
+
     def test_oracle_guard_on_large_universe(self):
         code, _, err = run(["--oracle", "-f", "a->b", "c->d", "e->f"])
         assert code == 64

@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas
-from helpers import naive_bcn, naive_entails, naive_propagate
+from helpers import (naive_bcn, naive_entails, naive_propagate,
+                     trial_body_text, trial_clause_text, two_path_expand_item)
 
 from singlehead.formula import (Clause, Formula, ParseError, Universe,
-                                analyze_body, bit_ids, closure_mask,
-                                formula_items,
+                                _expand_item, analyze_body, bit_ids,
+                                closure_mask, formula_items,
                                 is_single_head, letters, normalize,
                                 parse_formula, parse_variables, propagate)
 from singlehead.oracle import sample_formulas
@@ -162,6 +164,54 @@ class TestBodyText:
         f = parse_formula(["A,b->c", "c,->A", "c,->b"], universe=u)
         assert f.clause_texts() == ["c,->A", "c->b", "A,b->c"]
         assert parse_formula(f.clause_texts(), universe=u) == f
+
+
+class TestTrialParseReference:
+    """Writing names by the tokenizer's rule gives the texts that trial
+    parsing gave, and one expansion path what two paths gave."""
+
+    LETTERS = list("abcxyzéß")
+    NAMES = LETTERS + ["A", "B", "É", "_", "__", "x1", "p0", "a_", "_a",
+                       "foo", "bar", "Baz", "éa", "ßx", "a0b"]
+
+    def test_every_mask_and_clause(self):
+        rng = random.Random(19)
+        for _ in range(1500):
+            pool = self.LETTERS if rng.random() < 0.3 else self.NAMES
+            u = Universe(rng.sample(pool, rng.randint(1, 5)))
+            n = len(u)
+            for mask in range(1 << n):
+                assert u.body_text(mask) == trial_body_text(u, mask), \
+                    (u, mask)
+                for head in range(n):
+                    if not mask >> head & 1:
+                        c = Clause(head, mask)
+                        assert u.clause_text(c) == trial_clause_text(u, c), \
+                            (u, c)
+
+    @staticmethod
+    def expanded(expand, item):
+        try:
+            return expand(item)
+        except ParseError as err:
+            return str(err), err.item, err.position
+
+    @pytest.mark.parametrize("item", [
+        "", "abc", "->", "a->", "ab->", "a->b->c", "a=b=c", "a->b=c",
+        "a=b->c", "=", " = ", ",=,", "a=", "=b", "1x,b->c", "b,1x->c",
+        "aB->c", "a->B", "a0 b->c", "a,,b->c", "é->ß", "a0->bc", "x_1=y2",
+        "foo,->c", ",->", "ab=bc"])
+    def test_items(self, item):
+        assert self.expanded(_expand_item, item) \
+            == self.expanded(two_path_expand_item, item)
+
+    def test_drawn_items(self):
+        rng = random.Random(19)
+        for _ in range(5000):
+            item = "".join(rng.choice("ab,->= 1_Aé")
+                           for _ in range(rng.randint(0, 10)))
+            assert self.expanded(_expand_item, item) \
+                == self.expanded(two_path_expand_item, item), item
 
 
 class TestSmallAccessors:
