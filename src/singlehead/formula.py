@@ -280,40 +280,34 @@ def normalize(f: Formula) -> Formula:
 # forward chaining
 
 def propagate(clauses: Sequence[tuple[int, int]],
-              seed: int) -> tuple[int, int, list[int]]:
-    """One forward-chaining pass from a seed set of variables.
+              seed: int) -> tuple[int, int]:
+    """Forward chaining from a seed set of variables.
 
-    `clauses` are `(head, body)` pairs, `Clause` tuples or plain ones.  Each
-    clause counts its body variables not yet derived; a clause fires when
-    the count reaches zero, adding its head.  Returns the closure mask, the
-    mask of heads of fired clauses, and the fired clause indexes in firing
-    order.  Time is linear in the total size of the clauses.
+    `clauses` are `(head, body)` pairs, `Clause` tuples or plain ones.
+    Each sweep over the clauses not yet fired fires those whose body lies
+    inside the closure, adding their heads; chaining stops when a sweep
+    adds nothing, so that sweep saw the final closure, and the fired
+    clauses are exactly those whose body lies inside it.  Returns the
+    closure mask and the mask of their heads.  Every sweep but the last
+    adds a variable: at most |closure - seed| + 1 sweeps.
     """
-    counts = []
-    watch: dict[int, list[int]] = {}   # variable bit -> clauses missing it
-    fired: list[int] = []
-    for i, (_, body) in enumerate(clauses):
-        missing = body & ~seed
-        counts.append(missing.bit_count())
-        if not missing:
-            fired.append(i)
-        while missing:
-            bit = missing & -missing
-            watch.setdefault(bit, []).append(i)
-            missing ^= bit
     closure = seed
     fired_heads = 0
-    # `fired` is the queue: the loop also visits the indexes appended to it
-    for i in fired:
-        bit = 1 << clauses[i][0]
-        fired_heads |= bit
-        if not closure & bit:
-            closure |= bit
-            for j in watch.get(bit, ()):
-                counts[j] -= 1
-                if not counts[j]:
-                    fired.append(j)
-    return closure, fired_heads, fired
+    pending = clauses
+    while pending:
+        before = closure
+        rest = []
+        for clause in pending:
+            if clause[1] & ~closure:
+                rest.append(clause)
+            else:
+                bit = 1 << clause[0]
+                closure |= bit
+                fired_heads |= bit
+        if closure == before:
+            break
+        pending = rest
+    return closure, fired_heads
 
 
 def closure_mask(f: Formula, seed: int) -> int:
@@ -340,8 +334,8 @@ class BodyAnalysis:
 
 
 def analyze_body(f: Formula, body_mask: int) -> BodyAnalysis:
-    closure, fired_heads, fired = propagate(f.clauses, body_mask)
-    ucl = tuple([f.clauses[i] for i in sorted(fired)])
+    closure, fired_heads = propagate(f.clauses, body_mask)
+    ucl = tuple([c for c in f.clauses if not c.body & ~closure])
     return BodyAnalysis(body_mask, closure, fired_heads, ucl)
 
 

@@ -6,10 +6,10 @@ body order.  For each body it derives the set of heads still to be covered,
 builds the pool of minimal candidate clauses for those heads, reduced under
 the formula built so far, and searches the head-to-body assignments for one
 with which the formula under construction entails every input clause that
-fires from the body: one linear forward-chaining pass per input clause,
-with no closure per candidate.  Failure of any iteration is definitive:
-the input has no single-head equivalent.  Success of all iterations yields
-one.
+fires from the body: one forward chaining per input clause, of at most
+one sweep per derived variable plus one, with no closure per candidate.
+Failure of any iteration is definitive: the input has no single-head
+equivalent.  Success of all iterations yields one.
 
 The three rejection filters and the pool reduction can each be switched
 off; only the reduction can change the witness, and none the verdict.
@@ -262,7 +262,7 @@ def filter_maxit(state: ReconstructionState, body: int, heads: int) -> bool:
     variables; otherwise no candidate can succeed.
     """
     target = state.analyses[body].rcn_mask
-    _, fired, _ = propagate(state.g, body | heads)
+    _, fired = propagate(state.g, body | heads)
     return not target & ~(heads | fired)
 
 
@@ -310,7 +310,7 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
     """
     target = state.analyses[body].rcn_mask
     for other in pool_bodies:
-        _, fired, _ = propagate(with_candidate, other | later)
+        _, fired = propagate(with_candidate, other | later)
         if fired | later != target:
             return False
     return True
@@ -343,7 +343,8 @@ def check_accept(state: ReconstructionState, body: int,
                  with_candidate: Sequence[tuple[int, int]]) -> bool:
     """The deciding test for one candidate: the formula under construction
     plus the candidate, as `(head, body)` pairs, entails every input clause
-    that fires from the body (`ucl`), one linear `propagate` pass each.
+    that fires from the body (`ucl`), one `propagate` each, of at most one
+    sweep per derived variable plus one.
 
     With `bcn` the body's closure under the input and `rcn` the heads of
     the `ucl` clauses, this decides as `_hclose(rcn, usable) ==

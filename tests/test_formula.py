@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas
-from helpers import (naive_bcn, naive_entails, naive_propagate,
-                     trial_body_text, trial_clause_text, two_path_expand_item)
+from helpers import (counting_propagate, naive_bcn, naive_entails,
+                     naive_propagate, trial_body_text, trial_clause_text,
+                     two_path_expand_item)
 
 from singlehead.formula import (Clause, Formula, ParseError, Universe,
-                                _expand_item, analyze_body, bit_ids,
-                                closure_mask, formula_items,
+                                _expand_item, all_bodies, analyze_body,
+                                bit_ids, closure_mask, formula_items,
                                 is_single_head, letters, normalize,
                                 parse_formula, parse_variables, propagate)
 from singlehead.oracle import sample_formulas
@@ -339,25 +340,15 @@ class TestPropagate:
     @given(clause_lists())
     def test_matches_naive_fixpoint(self, case):
         clauses, seed = case
-        closure, fired_heads, fired = propagate(clauses, seed)
-        assert (closure, fired_heads, set(fired)) \
-            == naive_propagate(clauses, seed)
-        # firing order: each clause's body was derived before it fired
-        derived = seed
-        for i in fired:
-            head, body = clauses[i]
-            assert not body & ~derived
-            derived |= 1 << head
-        assert len(fired) == len(set(fired))
+        result = propagate(clauses, seed)
+        assert result == naive_propagate(clauses, seed)[:2]
+        assert result == counting_propagate(clauses, seed)[:2]
 
     def test_long_chain_in_both_orders(self):
         chain = [(i + 1, 1 << i) for i in range(200)]
         full = (1 << 201) - 1
-        closure, heads, fired = propagate(chain, 1)
-        assert (closure, heads, fired) == (full, full - 1, list(range(200)))
-        closure, heads, fired = propagate(chain[::-1], 1)
-        assert (closure, heads) == (full, full - 1)
-        assert fired == list(range(199, -1, -1))
+        assert propagate(chain, 1) == (full, full - 1)
+        assert propagate(chain[::-1], 1) == (full, full - 1)
 
 
 class TestEntailment:
@@ -415,6 +406,23 @@ class TestRcnUcl:
                 analysis = analyze_body(f, seed)
                 part = Formula(f.universe, analysis.ucl)
                 assert naive_bcn(part, seed) == analysis.bcn_mask
+
+    def test_ucl_is_counting_fired_clauses(self):
+        # the clauses that fire are those whose body lies in the closure
+        for n in range(3, 9):
+            for f in sample_formulas(n, 30, 8, 3, seed=n):
+                for body in all_bodies(n):
+                    fired = counting_propagate(f.clauses, body)[2]
+                    assert analyze_body(f, body).ucl \
+                        == tuple(f.clauses[i] for i in sorted(fired))
+
+    @settings(max_examples=200)
+    @given(formulas(max_vars=6, max_clauses=8), st.data())
+    def test_ucl_is_counting_fired_clauses_drawn(self, f, data):
+        body = data.draw(st.integers(0, (1 << len(f.universe)) - 1))
+        fired = counting_propagate(f.clauses, body)[2]
+        assert analyze_body(f, body).ucl \
+            == tuple(f.clauses[i] for i in sorted(fired))
 
     def test_ucl_bodies_inside_bcn(self):
         for f in sample_formulas(5, 60, 6, 3, seed=505):

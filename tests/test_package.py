@@ -1,8 +1,11 @@
-"""The package surface: what `from singlehead import *` gives, and the
-version, which `pyproject.toml` and `singlehead.__version__` both state."""
+"""The package surface: what `from singlehead import *` gives, the
+version, which `pyproject.toml` and `singlehead.__version__` both state,
+and the test configuration in `pyproject.toml`."""
 
 import os
 import re
+import subprocess
+import sys
 
 import singlehead
 
@@ -31,3 +34,31 @@ def test_version_matches_pyproject():
     found = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project.group(1),
                        re.MULTILINE)
     assert found == [singlehead.__version__]
+
+
+FAILING_GIVEN = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert False
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_given_test_does_not_stop_the_session(tmp_path):
+    # warnings are errors, but a failing @given test must fail alone
+    (tmp_path / "test_throwaway.py").write_text(FAILING_GIVEN)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", PYPROJECT, "--rootdir", str(tmp_path),
+         str(tmp_path / "test_throwaway.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = done.stdout + done.stderr
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out
