@@ -187,7 +187,8 @@ def _print_human(result: dict, out) -> None:
     print(f"{result['source']}: {result['verdict']}", file=out)
     if result["trace"]:
         for i, t in enumerate(result["trace"], start=1):
-            accepted = " ".join(t["accepted"]) if t["accepted"] else "-"
+            accepted = "-" if t["accepted"] is None \
+                else " ".join(t["accepted"]) or "(empty)"
             print(f"  iteration {i}: body={t['body'] or '{}'} "
                   f"heads={t['heads'] or '{}'} pool={t['pool_size']} "
                   f"reduced={t['reduced_size']} "

@@ -1,17 +1,18 @@
-"""Head-bounded resolution closure and clause-set reductions.
+"""Head-bounded resolution closure and clause-set reductions, over masks.
 
-`hclose` computes, for a set of target heads, every body-minimal clause
-with one of those heads that the formula entails.  It works by saturating
-the clauses of the formula under resolution restricted to the target heads,
-interleaved with subsumption pruning, so the closure never grows past the
-minimal clauses.  The pruning keeps an occurrence index (`_Kept`): per
-head and per variable, the bitset of the kept slots with that head or
-holding that variable.  So a kept same-head subset, which refuses an
-insert, and the kept same-head supersets it evicts are each found by one
-mask test, not by a scan of the kept bodies.
-`minbodies` then discards candidate clauses whose body already entails
-another candidate body under a context formula; it groups the bodies by
-their closure under the context and compares only the distinct closures.
+`_hclose(heads_mask, clauses)` computes, for a set of target heads, every
+body-minimal clause with one of those heads that the clauses entail.  It
+works by saturating the clauses under resolution restricted to the target
+heads, interleaved with subsumption pruning, so the closure never grows
+past the minimal clauses.  The pruning, `_keep`, inserts into an
+occurrence index (`_Kept`): per head and per variable, the bitset of the
+kept slots with that head or holding that variable.  So a kept same-head
+subset, which refuses an insert, and the kept same-head supersets it
+evicts are each found by one mask test, not by a scan of the kept bodies.
+`_minbodies(candidates, context)` then discards candidate clauses whose
+body already entails another candidate body under the context clauses; it
+groups the bodies by their closure under the context and compares only
+the distinct closures.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
-from .formula import Clause, Formula, bit_ids, clause_key, propagate
+from .formula import Clause, bit_ids, propagate
 
 
 def resolve_on_head(side: Clause, target: Clause) -> Optional[Clause]:
@@ -99,16 +100,16 @@ def _keep(kept: _Kept, clause: Clause) -> bool:
 
 
 def _minimal(clauses: Iterable[Clause]) -> set[Clause]:
-    """Clauses whose body is no strict superset of a same-head body."""
+    """Clauses whose body is no strict superset of a same-head body.
+
+    The package does not call it: only `bench/tracer.py:LAYERS` names it,
+    which the bench's traced run and `tests/test_bench_tracer.py` need.  It
+    goes when that tracer does.
+    """
     kept = _Kept()
     for c in clauses:
         _keep(kept, c)
     return set(kept.live())
-
-
-def minimal_clauses(clauses: Iterable[Clause]) -> tuple[Clause, ...]:
-    """Drop every clause whose body strictly contains a same-head body."""
-    return tuple(sorted(_minimal(clauses), key=clause_key))
 
 
 def _hclose(heads_mask: int, clauses: Sequence[Clause]) -> frozenset[Clause]:
@@ -130,12 +131,6 @@ def _hclose(heads_mask: int, clauses: Sequence[Clause]) -> frozenset[Clause]:
             stack.extend(r for side in clauses
                          if (r := resolve_on_head(side, target)) is not None)
     return frozenset(kept.live())
-
-
-def hclose(heads: Iterable[str], f: Formula) -> tuple[Clause, ...]:
-    """Body-minimal entailed non-tautological clauses with a head in `heads`."""
-    result = _hclose(f.universe.mask(heads), f.clauses)
-    return tuple(sorted(result, key=clause_key))
 
 
 def _minbodies(candidates: Iterable[Clause],
@@ -170,14 +165,3 @@ def _minbodies(candidates: Iterable[Clause],
             if not any(o != reach and not o & ~reach for o in first):
                 kept.add(Clause(head, b))
     return frozenset(kept)
-
-
-def minbodies(candidates: Iterable[Clause],
-              context: Iterable[Clause]) -> tuple[Clause, ...]:
-    """Subset of `candidates` still covering every candidate body.
-
-    For every clause B' -> x of the input there is a kept clause B'' -> x
-    such that the context together with B' entails B''.
-    """
-    result = _minbodies(candidates, tuple(context))
-    return tuple(sorted(result, key=clause_key))

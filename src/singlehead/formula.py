@@ -310,10 +310,6 @@ def propagate(clauses: Sequence[tuple[int, int]],
     return closure, fired_heads
 
 
-def closure_mask(f: Formula, seed: int) -> int:
-    return propagate(f.clauses, seed)[0]
-
-
 # ---------------------------------------------------------------------------
 # per-body analysis
 

@@ -19,7 +19,7 @@ import random
 from typing import Iterator, Optional, Sequence
 
 from .formula import (Clause, Formula, Universe, all_bodies, clause_key,
-                      closure_mask, letters, propagate)
+                      letters, propagate)
 
 
 class UniverseTooLarge(ValueError):
@@ -65,7 +65,8 @@ def brute_force_single_head_equivalent(
     if n > max_vars:
         raise UniverseTooLarge(
             f"{n} variables; exhaustive search is guarded to {max_vars}")
-    entailed = {body: closure_mask(f, body) for body in all_bodies(n)}
+    entailed = {body: propagate(f.clauses, body)[0]
+                for body in all_bodies(n)}
     options: list[list[Optional[int]]] = []
     for v in range(n):
         choices: list[Optional[int]] = [None]

@@ -143,14 +143,11 @@ class ReconstructionState:
     g_body_vars: int = 0
 
 
-def precompute_bodies(f: Formula) -> dict[int, BodyAnalysis]:
-    """One forward-chaining analysis per distinct clause body."""
-    return {body: analyze_body(f, body) for body in f.body_masks()}
-
-
 def new_state(f: Formula) -> ReconstructionState:
+    """The state before the first iteration: one forward-chaining analysis
+    per distinct clause body of the normalized formula, every body pending."""
     f = normalize(f)
-    analyses = precompute_bodies(f)
+    analyses = {body: analyze_body(f, body) for body in f.body_masks()}
     return ReconstructionState(f, analyses, list(analyses))
 
 

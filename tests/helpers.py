@@ -30,8 +30,7 @@ import itertools
 from singlehead.closure import _hclose
 from singlehead.formula import (Clause, Formula, ParseError, _expand_item,
                                 _tokenize_side, all_bodies, bit_ids,
-                                clause_key, closure_mask, parse_variables,
-                                propagate)
+                                clause_key, parse_variables, propagate)
 from singlehead.oracle import UniverseTooLarge
 from singlehead.reconstruct import (FILTER_NAMES, IterationTrace,
                                     _body_vars, candidate_space,
@@ -114,7 +113,7 @@ def product_order_oracle(f: Formula, max_vars: int):
     if n > max_vars:
         raise UniverseTooLarge(f"{n} variables; guarded to {max_vars}")
     options = [[None] + [body for body in all_bodies(n, without=v)
-                         if closure_mask(f, body) >> v & 1]
+                         if propagate(f.clauses, body)[0] >> v & 1]
                for v in range(n)]
     required: dict[int, int] = {}
     for c in f.clauses:

@@ -323,6 +323,19 @@ class TestModes:
         assert code == 0
         assert "iteration 1:" in out
 
+    def test_trace_tells_empty_acceptance_from_none(self):
+        # iteration 2 of the first formula accepts the empty candidate (its
+        # heads are all headed already); that of the second one fails
+        _, out, _ = run(["--trace", "-f", "a->b", "ac->b"])
+        assert "iteration 2: body=ac heads={} " in out
+        assert out.splitlines()[2].endswith(" accepted=(empty)")
+        _, out, _ = run(["--json", "--trace", "-f", "a->b", "ac->b"])
+        assert json.loads(out)["results"][0]["trace"][1]["accepted"] == []
+        _, out, _ = run(["--trace", "-f", "a->c", "b->c"])
+        assert out.splitlines()[2].endswith(" accepted=-")
+        _, out, _ = run(["--json", "--trace", "-f", "a->c", "b->c"])
+        assert json.loads(out)["results"][0]["trace"][1]["accepted"] is None
+
     def test_directory_runs_every_file(self, corpus_dir):
         code, out, _ = run(["-t", corpus_dir])
         # the corpus mixes verdicts; all expectations hold, nothing inconclusive

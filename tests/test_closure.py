@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import PRODUCT
 from helpers import brute_hclose, naive_bcn, naive_minbodies, naive_minimal
 
-from singlehead.closure import (_hclose, _keep, _Kept, _minbodies, hclose,
-                                minbodies, minimal_clauses, resolve_on_head)
+from singlehead.closure import (_hclose, _keep, _Kept, _minbodies,
+                                resolve_on_head)
 from singlehead.formula import (Clause, Formula, Universe, clause_key,
                                 parse_formula, propagate)
 from singlehead.oracle import sample_formulas
@@ -18,6 +18,18 @@ from singlehead.oracle import sample_formulas
 
 def cl(universe, body, head):
     return Clause(universe.id(head), universe.mask(body))
+
+
+def kept_after(clauses):
+    """The `_Kept` index after inserting `clauses` in order with `_keep`."""
+    kept = _Kept()
+    for c in clauses:
+        _keep(kept, c)
+    return kept
+
+
+def canonical(clauses):
+    return tuple(sorted(clauses, key=clause_key))
 
 
 class TestResolveOnHead:
@@ -78,12 +90,12 @@ class TestMinimalClauses:
     @settings(max_examples=400)
     @given(raw_clause_lists())
     def test_matches_naive_filter(self, clauses):
-        assert minimal_clauses(clauses) == naive_minimal(clauses)
+        assert canonical(kept_after(clauses).live()) == naive_minimal(clauses)
 
     @settings(max_examples=100, deadline=None)
     @given(wide_clause_lists())
     def test_matches_naive_filter_on_wide_heads(self, clauses):
-        assert minimal_clauses(clauses) == naive_minimal(clauses)
+        assert canonical(kept_after(clauses).live()) == naive_minimal(clauses)
 
     def test_descending_inserts_evict_down_to_empty_body(self):
         # every body over 6 variables under head 6, largest popcount first:
@@ -102,51 +114,59 @@ class TestMinimalClauses:
         assert kept.live() == [Clause(6, 0), Clause(7, 0b101)]
 
     def test_strict_containment_removed(self):
-        kept = minimal_clauses([cl(self.u, "ac", "d"), cl(self.u, "abc", "d")])
-        assert kept == (cl(self.u, "ac", "d"),)
+        # refused when the subset is kept first, evicting it when it comes last
+        small, large = cl(self.u, "ac", "d"), cl(self.u, "abc", "d")
+        kept = _Kept()
+        assert _keep(kept, small)
+        assert not _keep(kept, large)
+        assert kept.live() == [small]
+        kept = _Kept()
+        assert _keep(kept, large)
+        assert _keep(kept, small)
+        assert kept.live() == [small]
 
     def test_incomparable_kept(self):
         cs = [cl(self.u, "a", "b"), cl(self.u, "c", "b")]
-        assert set(minimal_clauses(cs)) == set(cs)
+        assert kept_after(cs).live() == cs
 
     def test_empty_body_wins(self):
-        kept = minimal_clauses([cl(self.u, "", "x"), cl(self.u, "a", "x")])
-        assert kept == (cl(self.u, "", "x"),)
+        kept = kept_after([cl(self.u, "", "x"), cl(self.u, "a", "x")])
+        assert kept.live() == [cl(self.u, "", "x")]
 
     def test_different_heads_do_not_interact(self):
         cs = [cl(self.u, "a", "b"), cl(self.u, "ac", "d")]
-        assert set(minimal_clauses(cs)) == set(cs)
+        assert kept_after(cs).live() == cs
 
 
 class TestHclose:
     def test_redundant_superset_clause_removed(self):
         f = parse_formula(["a->b", "ac->d", "abc->d"])
-        assert hclose({"d"}, f) == (cl(f.universe, "ac", "d"),)
+        u = f.universe
+        assert _hclose(u.mask("d"), f.clauses) == {cl(u, "ac", "d")}
 
     def test_empty_heads(self):
         f = parse_formula(["a->b", "ac->d"])
-        assert hclose(set(), f) == ()
+        assert _hclose(0, f.clauses) == frozenset()
 
     def test_derived_minimal_bodies(self):
         f = parse_formula(["a->b", "b->c"])
-        assert set(hclose({"c"}, f)) == {cl(f.universe, "a", "c"),
-                                         cl(f.universe, "b", "c")}
+        u = f.universe
+        assert _hclose(u.mask("c"), f.clauses) == {cl(u, "a", "c"),
+                                                   cl(u, "b", "c")}
 
     def test_matches_brute_force_small_exhaustive(self):
         from singlehead.oracle import enumerate_small_formulas
         for f in enumerate_small_formulas(3, 3, 2):
             n = len(f.universe)
             for heads_mask in range(1 << n):
-                got = tuple(sorted(_hclose(heads_mask, f.clauses),
-                                   key=clause_key))
+                got = canonical(_hclose(heads_mask, f.clauses))
                 assert got == brute_hclose(heads_mask, f)
 
     def test_matches_brute_force_random(self):
         for f in sample_formulas(5, 60, 6, 4, seed=606):
             n = len(f.universe)
             for heads_mask in range(1 << n):
-                got = tuple(sorted(_hclose(heads_mask, f.clauses),
-                                   key=clause_key))
+                got = canonical(_hclose(heads_mask, f.clauses))
                 assert got == brute_hclose(heads_mask, f)
 
     def test_union_of_head_sets(self):
@@ -210,7 +230,7 @@ class TestMinbodies:
         candidates = [cl(u, "bhe", "x"), cl(u, "che", "x"), cl(u, "cde", "x")]
         context = [cl(u, "bh", "c"), cl(u, "ch", "b"), cl(u, "ch", "d"),
                    cl(u, "x", "h")]
-        assert minbodies(candidates, context) == (cl(u, "cde", "x"),)
+        assert _minbodies(candidates, context) == {cl(u, "cde", "x")}
 
     def test_identity_satisfies_contract(self):
         u = Universe("abcdx")
@@ -223,15 +243,15 @@ class TestMinbodies:
     def test_no_cross_entailment_without_context(self):
         u = Universe("abcdx")
         candidates = [cl(u, "ab", "x"), cl(u, "cd", "x")]
-        assert set(minbodies(candidates, [])) == set(candidates)
+        assert _minbodies(candidates, ()) == set(candidates)
 
     def test_contract_on_random_inputs(self):
         for f in sample_formulas(5, 80, 6, 3, seed=111):
             n = len(f.universe)
             context = f.clauses[::2]
             candidates = _hclose((1 << n) - 1, f.clauses)
-            reduced = minbodies(candidates, context)
-            assert set(reduced) <= set(candidates)
+            reduced = _minbodies(candidates, context)
+            assert reduced <= candidates
             ctx = Formula(f.universe, context)
             for c in candidates:
                 witnesses = [r for r in reduced if r.head == c.head
@@ -242,7 +262,7 @@ class TestMinbodies:
         u = Universe("abx")
         candidates = [cl(u, "b", "x"), cl(u, "a", "x")]
         context = [cl(u, "a", "b"), cl(u, "b", "a")]
-        assert minbodies(candidates, context) == (cl(u, "a", "x"),)
+        assert _minbodies(candidates, context) == {cl(u, "a", "x")}
 
     def test_kept_set_matches_sink_class_reference(self):
         dropped = 0
@@ -251,7 +271,7 @@ class TestMinbodies:
                 n = len(f.universe)
                 context = f.clauses[::every]
                 candidates = _hclose((1 << n) - 1, f.clauses)
-                reduced = set(minbodies(candidates, context))
+                reduced = _minbodies(candidates, context)
                 assert reduced == naive_minbodies(
                     candidates, Formula(f.universe, context)), \
                     f.clause_texts()

@@ -12,7 +12,7 @@ from helpers import (counting_propagate, naive_bcn, naive_entails,
 
 from singlehead.formula import (Clause, Formula, ParseError, Universe,
                                 _expand_item, all_bodies, analyze_body,
-                                bit_ids, closure_mask, formula_items,
+                                bit_ids, formula_items,
                                 is_single_head, letters, normalize,
                                 parse_formula, parse_variables, propagate)
 from singlehead.oracle import sample_formulas
@@ -277,22 +277,23 @@ class TestBcn:
     def test_chain_with_loop(self):
         f = parse_formula(["a->b", "b->c", "c->b"])
         u = f.universe
-        assert closure_mask(f, u.mask("a")) == u.mask("abc")
+        assert propagate(f.clauses, u.mask("a"))[0] == u.mask("abc")
 
     def test_no_clauses(self):
         f = parse_formula(["a->b"])
         a = f.universe.mask("a")
-        assert closure_mask(Formula(f.universe, []), a) == a
+        assert propagate((), a)[0] == a
 
     def test_unsatisfied_body(self):
         f = parse_formula(["ab->c"])
-        assert closure_mask(f, f.universe.mask("a")) == f.universe.mask("a")
+        a = f.universe.mask("a")
+        assert propagate(f.clauses, a)[0] == a
 
     def test_matches_naive_fixpoint(self):
         for f in sample_formulas(6, 200, 8, 3, seed=101):
             n = len(f.universe)
             for seed in range(1 << n):
-                assert closure_mask(f, seed) == naive_bcn(f, seed)
+                assert propagate(f.clauses, seed)[0] == naive_bcn(f, seed)
 
     @settings(max_examples=60)
     @given(formulas(), st.data())
@@ -302,7 +303,8 @@ class TestBcn:
         grow = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
         a = naive_bcn(f, small)
         b = naive_bcn(f, small | grow)
-        assert closure_mask(f, small) & ~closure_mask(f, small | grow) == 0
+        assert propagate(f.clauses, small)[0] \
+            & ~propagate(f.clauses, small | grow)[0] == 0
         assert a & ~b == 0
 
     def test_entailed_body_has_smaller_closure(self):
@@ -311,7 +313,7 @@ class TestBcn:
         # so the order is a preorder whose classes share one closure
         for f in sample_formulas(4, 60, 5, 2, seed=202):
             n = len(f.universe)
-            reach = [closure_mask(f, m) for m in range(1 << n)]
+            reach = [propagate(f.clauses, m)[0] for m in range(1 << n)]
             for a, b in itertools.product(range(1 << n), repeat=2):
                 assert (not a & ~reach[b]) == (not reach[a] & ~reach[b])
 
@@ -356,18 +358,18 @@ class TestEntailment:
     def test_chain(self):
         f = parse_formula(["a->b", "b->c"])
         u = f.universe
-        assert closure_mask(f, u.mask("a")) >> u.id("c") & 1
+        assert propagate(f.clauses, u.mask("a"))[0] >> u.id("c") & 1
 
     def test_tautology_always(self):
         f = parse_formula(["a->b", "b->c"])
         u = f.universe
-        assert closure_mask(f, u.mask("a")) >> u.id("a") & 1
+        assert propagate(f.clauses, u.mask("a"))[0] >> u.id("a") & 1
         empty = Formula(u, [])
-        assert closure_mask(empty, u.mask("a")) >> u.id("a") & 1
+        assert propagate(empty.clauses, u.mask("a"))[0] >> u.id("a") & 1
 
     def test_empty_formula(self):
         f = Formula(Universe("ab"), [])
-        assert not closure_mask(f, f.universe.mask("a")) >> 1 & 1
+        assert not propagate(f.clauses, f.universe.mask("a"))[0] >> 1 & 1
 
 
 class TestRcnUcl:

@@ -1,6 +1,7 @@
 """The package surface: what `from singlehead import *` gives, the
-version, which `pyproject.toml` and `singlehead.__version__` both state,
-and the test configuration in `pyproject.toml`."""
+README line of each exported name, the version, which `pyproject.toml`
+and `singlehead.__version__` both state, and the test configuration in
+`pyproject.toml`."""
 
 import os
 import re
@@ -9,8 +10,9 @@ import sys
 
 import singlehead
 
-PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir,
-                         "pyproject.toml")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
+README = os.path.join(ROOT, "README.md")
 
 
 def test_star_import_binds_exactly_all():
@@ -22,6 +24,18 @@ def test_star_import_binds_exactly_all():
     assert set(namespace) == set(names)
     for name in names:
         assert namespace[name] is getattr(singlehead, name)
+
+
+def test_readme_library_section_lists_all():
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    # from the `## Library` heading to the next level-two heading
+    section = re.search(r"^## Library\n(.*?)(?=^## |\Z)", text,
+                        re.MULTILINE | re.DOTALL)
+    assert section is not None
+    listed = re.findall(r"^- `(\w+)[`(]", section.group(1), re.MULTILINE)
+    missing = [n for n in singlehead.__all__ if n not in listed]
+    assert not missing
 
 
 def test_version_matches_pyproject():

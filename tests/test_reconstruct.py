@@ -26,7 +26,7 @@ from singlehead.reconstruct import (FILTER_NAMES, Inconclusive,
                                     compute_heads, enumerate_candidates,
                                     filter_body_coverage, filter_maxit,
                                     filter_rcn_equality, head_options,
-                                    new_state, precompute_bodies, reconstruct,
+                                    new_state, reconstruct,
                                     rest_need, run_iteration)
 
 RECONSTRUCT = importlib.import_module("singlehead.reconstruct")
@@ -54,17 +54,19 @@ def advance(f, steps, options=Options()):
 
 
 class TestPrecomputeBodies:
+    # `new_state` analyzes each distinct clause body once
+
     def test_single_body(self):
         f = parse_formula(["a->b"])
-        assert len(precompute_bodies(f)) == 1
+        assert len(new_state(f).analyses) == 1
 
     def test_shared_body_deduplicated(self):
         f = parse_formula(["ab->c", "ab->d"])
-        assert len(precompute_bodies(f)) == 1
+        assert len(new_state(f).analyses) == 1
 
     def test_three_distinct_bodies(self):
         f = parse_formula(["a->b", "b->c", "c->b"])
-        assert len(precompute_bodies(f)) == 3
+        assert len(new_state(f).analyses) == 3
 
 
 class TestChooseMinimalBody:
