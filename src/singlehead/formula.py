@@ -320,19 +320,18 @@ class BodyAnalysis:
     `bcn_mask` is the closure, `rcn_mask` the heads of clauses that fired
     (variables derived by an actual inference, seed members included when
     rederived), and `ucl` the clauses whose whole body lies inside the
-    closure.  Always: bcn_mask = body_mask | rcn_mask.
+    closure.  Always: bcn_mask = body | rcn_mask.
     """
 
-    body_mask: int
     bcn_mask: int
     rcn_mask: int
     ucl: tuple[Clause, ...]
 
 
-def analyze_body(f: Formula, body_mask: int) -> BodyAnalysis:
-    closure, fired_heads = propagate(f.clauses, body_mask)
+def analyze_body(f: Formula, body: int) -> BodyAnalysis:
+    closure, fired_heads = propagate(f.clauses, body)
     ucl = tuple([c for c in f.clauses if not c.body & ~closure])
-    return BodyAnalysis(body_mask, closure, fired_heads, ucl)
+    return BodyAnalysis(closure, fired_heads, ucl)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Single-head reconstruction: decide whether a formula is equivalent to a
 single-head formula and build that formula when it is.
 
-The driver processes the distinct clause bodies of the input in increasing
-body order.  For each body it derives the set of heads still to be covered,
-builds the pool of minimal candidate clauses for those heads, reduced under
-the formula built so far, and searches the head-to-body assignments for one
-with which the formula under construction entails every input clause that
-fires from the body: one forward chaining per input clause, of at most
-one sweep per derived variable plus one, with no closure per candidate.
-Failure of any iteration is definitive: the input has no single-head
-equivalent.  Success of all iterations yields one.
+The driver processes the classes of equivalent input clause bodies in
+increasing body order, one iteration per class.  For each it derives the
+heads still to be covered, builds the pool of minimal candidate clauses for
+them, reduced under the formula built so far, and searches the head-to-body
+assignments for one with which the formula under construction derives the
+class's closure from each of its bodies, one forward chaining each, with no
+closure per candidate.  Failure of any iteration is definitive: the input
+has no single-head equivalent; success of all yields one.
 
 The three rejection filters and the pool reduction can each be switched
 off; only the reduction can change the witness, and none the verdict.
@@ -129,15 +128,16 @@ class ReconstructionState:
     """Mutable state of one reconstruction run.
 
     `g` is the formula under construction (at most one clause per head,
-    never a tautology) and `agenda` the distinct input bodies still
-    pending.  After each accepted iteration `g` is equivalent to the union
-    of the processed bodies' `ucl`: `check_accept` made `g` entail each of
-    them, and every clause of `g` comes from a pool closure of one of them.
+    never a tautology), and `agenda` maps each pending class's closure
+    `bcn` to its input bodies in canonical order, keys by first body.
+    After each accepted iteration `g` is equivalent to the union of the
+    processed bodies' `ucl`: `check_accept` made `g` entail each, and each
+    clause of `g` comes from a pool closure of one.
     """
 
     formula: Formula
     analyses: dict[int, BodyAnalysis]
-    agenda: list[int]
+    agenda: dict[int, list[int]]
     g: list[Clause] = field(default_factory=list)
     g_heads: int = 0
     g_body_vars: int = 0
@@ -145,24 +145,21 @@ class ReconstructionState:
 
 def new_state(f: Formula) -> ReconstructionState:
     """The state before the first iteration: one forward-chaining analysis
-    per distinct clause body of the normalized formula, every body pending."""
-    f = normalize(f)
-    analyses = {body: analyze_body(f, body) for body in f.body_masks()}
-    return ReconstructionState(f, analyses, list(analyses))
+    per distinct clause body of the normalized formula, every class pending."""
+    state = ReconstructionState(normalize(f), {}, {})
+    for body in state.formula.body_masks():
+        analysis = state.analyses[body] = analyze_body(state.formula, body)
+        state.agenda.setdefault(analysis.bcn_mask, []).append(body)
+    return state
 
 
 def choose_minimal_body(state: ReconstructionState) -> int:
-    """The first pending body, in canonical order, that no other pending
-    body lies strictly below.
-
-    a lies below b when b's closure covers a, which holds exactly when
-    a's closure is a subset of b's.
-    """
-    closures = [state.analyses[p].bcn_mask for p in state.agenda]
-    for body, bcn in zip(state.agenda, closures):
-        if not any(other != bcn and not other & ~bcn for other in closures):
-            return body
-    raise AssertionError("agenda has no minimal body")
+    """The first body of the first pending class, in canonical order, with
+    no pending class strictly below it: a lies below b when b's closure
+    covers a, which holds exactly when a's closure is a subset of b's."""
+    return next(bodies[0] for bcn, bodies in state.agenda.items()
+                if not any(other != bcn and not other & ~bcn
+                           for other in state.agenda))
 
 
 def compute_heads(state: ReconstructionState, body: int) -> int:
@@ -338,38 +335,41 @@ def child_rcn_equality(node: tuple[list[tuple[int, int]], list[int]],
 
 def check_accept(state: ReconstructionState, body: int,
                  with_candidate: Sequence[tuple[int, int]]) -> bool:
-    """The deciding test for one candidate: the formula under construction
-    plus the candidate, as `(head, body)` pairs, entails every input clause
-    that fires from the body (`ucl`), one `propagate` each, of at most one
-    sweep per derived variable plus one.
+    """The deciding test for one candidate: `g` plus the candidate, as
+    `(head, body)` pairs, derives the body's closure `bcn` from each body
+    of its class, one `propagate` each.
 
-    With `bcn` the body's closure under the input and `rcn` the heads of
-    the `ucl` clauses, this decides as `_hclose(rcn, usable) ==
+    On every state that `reconstruct` reaches, this is entailment of the
+    input clauses that fire from the body (`ucl`).  A `ucl` body whose
+    closure lies strictly inside `bcn` is of a class already retired, as
+    `choose_minimal_body` leaves none pending below the body, so `g`
+    entails its clauses.  The other `ucl` bodies are this class's, and
+    only `ucl` fires inside `bcn`: so entailing their clauses, whose heads
+    lie in `bcn`, is deriving `bcn` from each of them.
+
+    With `rcn` the heads of `ucl`, this decides as `_hclose(rcn, usable) ==
     _hclose(rcn, ucl)` over the non-tautological clauses that fire from the
     body (`usable`).  The input entails every clause of `g` and of the
-    candidate, so such a clause has its head in `rcn`, and a closure from a
-    seed inside `bcn` stays inside it.  When the test passes, the closure
-    from the body is `bcn`; only `usable` fires inside `bcn`, so it carries
-    every derivation of a `ucl` clause, and it derives `rcn`, as each `rcn`
-    variable heads a `ucl` clause, none a tautology.  The converse is
-    monotonicity.  A tautological candidate clause (filter 1 off) never
-    changes a closure.
+    candidate, so those of `usable` have heads in `rcn`, and a closure from a
+    seed inside `bcn` stays inside it.  When the test passes, the closure from
+    the body is `bcn`; only `usable` fires inside it, so it carries every
+    derivation of a `ucl` clause, and it derives `rcn`, as each `rcn` variable
+    heads a non-tautological `ucl` clause.  The converse is monotonicity.  A
+    tautological candidate clause (filter 1 off) never changes a closure.
     """
-    return all(propagate(with_candidate, c.body)[0] >> c.head & 1
-               for c in state.analyses[body].ucl)
+    bcn = state.analyses[body].bcn_mask
+    return all(not bcn & ~propagate(with_candidate, b)[0]
+               for b in state.agenda[bcn])
 
 
 def apply_iteration(state: ReconstructionState, body: int,
                     accepted: Sequence[Clause]) -> None:
-    """Fold an accepted candidate into the state and retire the body's
-    whole equivalence class from the agenda."""
-    analysis = state.analyses[body]
+    """Fold an accepted candidate into the state; retire the body's class."""
     state.g.extend(accepted)
     for c in accepted:
         state.g_heads |= 1 << c.head
         state.g_body_vars |= c.body
-    state.agenda = [p for p in state.agenda
-                    if state.analyses[p].bcn_mask != analysis.bcn_mask]
+    del state.agenda[state.analyses[body].bcn_mask]
 
 
 def _tables(head_ids: Sequence[int], per_head: Sequence[Sequence[int]]

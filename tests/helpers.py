@@ -3,10 +3,12 @@
 These deliberately avoid the shipped code paths: the fixpoint here is a
 naive repeated scan, the closure oracle enumerates every body and keeps
 the minimal ones by comparing every pair, and model sets come from full
-truth-table enumeration.  Two earlier rules are kept as references and do
+truth-table enumeration.  Earlier rules are kept as references and do
 use shipped code: `closure_equality_accept`, the earlier acceptance rule,
 compares closures built by the shipped `_hclose` (itself checked against
-`brute_hclose`), `product_order_oracle`, the earlier oracle, tests
+`brute_hclose`), `ucl_entailment_accept`, the acceptance rule after it,
+derives every input clause that fires from the body with the shipped
+`propagate`, `product_order_oracle`, the earlier oracle, tests
 every single-head assignment in `itertools.product` order with the
 shipped `propagate`, `product_order_search`, the earlier candidate
 loop, runs the shipped filters and `check_accept` on every candidate one
@@ -103,6 +105,14 @@ def closure_equality_accept(state, body: int, with_candidate) -> bool:
         return False
     usable = [clauses[i] for i in fired_at]
     return _hclose(fired, usable) == _hclose(analysis.rcn_mask, analysis.ucl)
+
+
+def ucl_entailment_accept(state, body: int, with_candidate) -> bool:
+    """Acceptance by entailment of every input clause that fires from the
+    body (`ucl`), retired classes' clauses included: one `propagate` per
+    clause."""
+    return all(propagate(with_candidate, c.body)[0] >> c.head & 1
+               for c in state.analyses[body].ucl)
 
 
 def product_order_oracle(f: Formula, max_vars: int):

@@ -221,11 +221,6 @@ class TestSmallAccessors:
             == "Formula(a->b c->b b->c)"
         assert repr(Formula(Universe("ab"), [])) == "Formula(empty)"
 
-    def test_body_analysis_body(self):
-        f = parse_formula(["a->b", "b->c"])
-        u = f.universe
-        assert analyze_body(f, u.mask("ac")).body_mask == u.mask("ac")
-
     def test_letters_bounded(self):
         assert letters(26) == "abcdefghijklmnopqrstuvwxyz"
         with pytest.raises(ValueError,
@@ -377,7 +372,6 @@ class TestRcnUcl:
         f = parse_formula(["y->z", "z->y"], universe=Universe("xyz"))
         u = f.universe
         analysis = analyze_body(f, u.mask("xy"))
-        assert analysis.body_mask == u.mask("xy")
         assert analysis.bcn_mask == u.mask("xyz")
         assert analysis.rcn_mask == u.mask("yz")
         assert texts(Formula(u, analysis.ucl)) == {"y->z", "z->y"}

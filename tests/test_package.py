@@ -1,7 +1,8 @@
 """The package surface: what `from singlehead import *` gives, the
 README line of each exported name, the version, which `pyproject.toml`
-and `singlehead.__version__` both state, and the test configuration in
-`pyproject.toml`."""
+and `singlehead.__version__` both state, the test configuration in
+`pyproject.toml`, and the test tools' pins, which its `test` extra and the
+CI workflow both state."""
 
 import os
 import re
@@ -13,6 +14,7 @@ import singlehead
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 README = os.path.join(ROOT, "README.md")
+WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 
 
 def test_star_import_binds_exactly_all():
@@ -48,6 +50,21 @@ def test_version_matches_pyproject():
     found = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project.group(1),
                        re.MULTILINE)
     assert found == [singlehead.__version__]
+
+
+def test_workflow_installs_the_test_extra_pins():
+    # with warnings as errors, a test tool newer than CI's can fail a local
+    # run that CI passes; parsed as text, as Python 3.10 has no `tomllib`
+    with open(PYPROJECT, encoding="utf-8") as handle:
+        extra = re.search(r"^test\s*=\s*\[([^\]]*)\]", handle.read(),
+                          re.MULTILINE)
+    assert extra is not None
+    pins = re.findall(r'"([^"]+)"', extra.group(1))
+    assert pins and all(re.fullmatch(r"[\w-]+==[\w.]+", p) for p in pins)
+    with open(WORKFLOW, encoding="utf-8") as handle:
+        installs = re.findall(r"^\s*run: python -m pip install (.+)$",
+                              handle.read(), re.MULTILINE)
+    assert [sorted(line.split()) for line in installs] == [sorted(pins)]
 
 
 FAILING_GIVEN = """

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import PADDED_PRODUCT, PRODUCT, formulas, ring
 from helpers import (closure_equality_accept, closure_rest_need,
                      listed_rcn_equality, naive_bcn, naive_body_equiv,
-                     naive_body_lt, product_order_search)
+                     naive_body_lt, product_order_search,
+                     ucl_entailment_accept)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, Universe, analyze_body,
@@ -40,6 +41,11 @@ RING_8 = ["ab=bc", "bc=cd", "cd=de", "de=ef", "ef=fg", "fg=gh", "gh=ha"]
 # two rings of four tied by one equivalence
 JOINED_RINGS = ["ab=bc", "bc=cd", "cd=da", "ef=fg", "fg=gh", "gh=he",
                 "da=eh"]
+
+
+def pending_bodies(state):
+    """The input bodies of the classes still on the agenda."""
+    return [body for bodies in state.agenda.values() for body in bodies]
 
 
 def advance(f, steps, options=Options()):
@@ -96,7 +102,7 @@ class TestBodyOrder:
             for f in sample_formulas(n, 60, n + 2, 3, seed=1200 + n):
                 state = new_state(f)
                 while state.agenda:
-                    pending = sorted(state.agenda, key=bit_ids)
+                    pending = sorted(pending_bodies(state), key=bit_ids)
                     body = choose_minimal_body(state)
                     expected = next(
                         p for p in pending
@@ -106,7 +112,7 @@ class TestBodyOrder:
                     if failure is not None:
                         break
                     apply_iteration(state, body, trace.accepted)
-                    retired = set(pending) - set(state.agenda)
+                    retired = set(pending) - set(pending_bodies(state))
                     assert retired == {p for p in pending if naive_body_equiv(
                         f, p, body)}, f.clause_texts()
                     steps += 1
@@ -188,9 +194,10 @@ class TestEnumerateCandidates:
         # counted, or accepted when `g` already entails the body's `ucl`
         trace, stop, tested = self._walk("", [])
         assert (stop, tested, trace.candidates_tested) == (None, [()], 1)
-        f = parse_formula(["a->b"])
+        f = parse_formula(["a->b", "ac->b"])
         state = advance(f, 1)
-        body = f.universe.mask("a")
+        body = choose_minimal_body(state)
+        assert (body, compute_heads(state, body)) == (f.universe.mask("ac"), 0)
         trace = IterationTrace(body, 0, 0, 0, 0,
                                dict.fromkeys(FILTER_NAMES, 0), None)
         assert next(enumerate_candidates(state, body, trace, (), [], None,
@@ -476,12 +483,13 @@ class TestSearchWork:
         # tested one by one, ring-8 took 26,503 filter 3 and 28,202
         # `propagate` calls, and the joined rings 89,903 and 96,780; with
         # each child of a checked prefix tested on its own, ring-8 took 43
-        # and 197, and the joined rings 3,032 and 8,200
+        # and 197, and the joined rings 3,032 and 8,200; with `check_accept`
+        # deriving every `ucl` clause, ring-8 took 155 `propagate` calls
         out, calls = self._calls(monkeypatch, RING_8)
         assert (out.verdict, out.report.candidates_tested) \
             == ("single-head", 67147)
         assert calls == {"filter_rcn_equality": 22, "child_rcn_equality": 21,
-                         "propagate": 155}
+                         "propagate": 149}
         out, calls = self._calls(monkeypatch, JOINED_RINGS, budget=200_000)
         assert (out.verdict, out.report.candidates_tested) \
             == ("inconclusive", 200_000)
@@ -546,7 +554,7 @@ def _precheck_run(f, outcomes, every_body=True):
     state = new_state(f)
     while state.agenda:
         body = choose_minimal_body(state)
-        for other in state.agenda if every_body else (body,):
+        for other in pending_bodies(state) if every_body else (body,):
             need = closure_rest_need(state, other)
             pool, _ = candidate_space(state, other, reduce_pool=False)
             suspects = ~state.g_body_vars & ~_body_vars(c.body for c in pool)
@@ -603,6 +611,34 @@ class TestRestPrecheck:
             dict.fromkeys(out.report.filter_hits, 0), **{reason: 1})
         # one pool closure per iteration
         assert len(out.report.iterations) == spy.call_count == iterations
+
+
+class TestLargeChain:
+    # a chain `v(i+1) -> v(i)` over `v000`...`v099`, single-head already:
+    # each of its 99 classes holds one body, so `check_accept` makes one
+    # `propagate` per call; deriving every `ucl` clause took 4,950
+    def test_chain_of_100(self, monkeypatch):
+        u = Universe(f"v{i:03d}" for i in range(100))
+        f = Formula(u, [Clause(i, 1 << i + 1) for i in range(99)])
+        check, original = RECONSTRUCT.check_accept, RECONSTRUCT.propagate
+        propagated, per_check = [0], []
+
+        def counting(*args):
+            propagated[0] += 1
+            return original(*args)
+
+        def checking(*args):
+            before = propagated[0]
+            decision = check(*args)
+            per_check.append(propagated[0] - before)
+            return decision
+
+        monkeypatch.setattr(RECONSTRUCT, "check_accept", checking)
+        monkeypatch.setattr(RECONSTRUCT, "propagate", counting)
+        out = reconstruct(f)
+        monkeypatch.undo()
+        assert isinstance(out, Success) and out.formula == f
+        assert per_check == [1] * 99
 
 
 class TestMultiCharacterNames:
@@ -807,14 +843,17 @@ class TestTables:
 
 class TestAcceptFastPath:
     def test_same_decision_as_plain_closure_equality(self):
-        # entailment of the input's used clauses decides exactly as
-        # comparing head-bounded closures, on every reachable iteration
+        # deriving the class's closure from each of its bodies decides
+        # exactly as entailing every input clause that fires from the body,
+        # and as comparing head-bounded closures, on every reachable
+        # iteration
         checked = accepted = late = 0
         for n in range(4, 8):
             for f in sample_formulas(n, 250, n + 2, 2, seed=1300 + n):
                 for state, body, git in _every_candidate(f):
                     decision = check_accept(state, body, git)
-                    assert decision == closure_equality_accept(
+                    assert decision == ucl_entailment_accept(
+                        state, body, git) == closure_equality_accept(
                         state, body, git), (f.clause_texts(), body, git)
                     checked += 1
                     accepted += decision
@@ -829,6 +868,7 @@ class TestAcceptFastPath:
     def test_same_decision_on_random_formulas(self, f):
         for state, body, git in _every_candidate(f):
             assert check_accept(state, body, git) \
+                == ucl_entailment_accept(state, body, git) \
                 == closure_equality_accept(state, body, git)
 
 
