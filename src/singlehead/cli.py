@@ -121,7 +121,7 @@ def _run_one(source: str, case: Optional[CorpusCase], formula: Formula,
             dropped = [lone]
         if any(n not in universe for n in dropped) and lone in universe:
             dropped = [lone]   # a lone multi-character name
-    unknown = [n for n in dropped if n not in universe]
+    unknown = list(dict.fromkeys(n for n in dropped if n not in universe))
     if unknown:
         raise _UsageError(f"--forget names variables not in {source}: "
                           f"{','.join(unknown)}")

@@ -12,7 +12,7 @@ evicts are each found by one mask test, not by a scan of the kept bodies.
 `_minbodies(candidates, context)` then discards candidate clauses whose
 body already entails another candidate body under the context clauses; it
 groups the bodies by their closure under the context and compares only
-the distinct closures.
+the distinct closures, and keeps a head's only body as it is.
 """
 
 from __future__ import annotations
@@ -151,13 +151,17 @@ def _minbodies(candidates: Iterable[Clause],
     are equal, and a class is a sink exactly when no other body's closure
     is a strict subset of its closure.  Keeping the canonical-first body of
     each closure that has no distinct closure strictly below it is the
-    reduction above.
+    reduction above.  A head's only body is its own class, and a sink, so
+    it is kept without computing its closure.
     """
     by_head: dict[int, set[int]] = defaultdict(set)
     for c in candidates:
         by_head[c.head].add(c.body)
     kept: set[Clause] = set()
     for head, bodies in by_head.items():
+        if len(bodies) == 1:
+            kept.add(Clause(head, bodies.pop()))
+            continue
         first: dict[int, int] = {}     # closure -> its canonical-first body
         for b in sorted(bodies, key=bit_ids):
             first.setdefault(propagate(context, b)[0], b)

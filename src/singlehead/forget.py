@@ -16,19 +16,19 @@ from .formula import (Clause, Formula, Universe, bit_ids, is_single_head,
                       normalize)
 
 
-def _rebuild(f: Formula, keep_mask: int) -> Formula:
-    """Re-intern the surviving clauses over the kept names only."""
-    old = f.universe
+def _rebuild(old: Universe, clauses: Iterable[Clause],
+             keep_mask: int) -> Formula:
+    """Re-intern the surviving clauses over `old` on the kept names only."""
     keep_ids = bit_ids(keep_mask)
     new = Universe(old.names[i] for i in keep_ids)
     remap = {i: new.id(old.names[i]) for i in keep_ids}
-    clauses = []
-    for c in f.clauses:
+    rebuilt = []
+    for c in clauses:
         body = 0
         for old_id in bit_ids(c.body & keep_mask):
             body |= 1 << remap[old_id]
-        clauses.append(Clause(remap[c.head], body))
-    return Formula(new, clauses)
+        rebuilt.append(Clause(remap[c.head], body))
+    return Formula(new, rebuilt)
 
 
 def forget_single_head(f: Formula, keep: Iterable[str]) -> Formula:
@@ -62,7 +62,7 @@ def forget_single_head(f: Formula, keep: Iterable[str]) -> Formula:
             if not c.is_tautology():
                 replaced.append(c)
         clauses = replaced
-    return _rebuild(Formula(f.universe, clauses), keep_mask)
+    return _rebuild(f.universe, clauses, keep_mask)
 
 
 def forget_by_resolution(f: Formula, keep: Iterable[str]) -> Formula:
@@ -89,4 +89,4 @@ def forget_by_resolution(f: Formula, keep: Iterable[str]) -> Formula:
                     resolvents.add(r)
         clauses = {c for c in clauses
                    if c.head != v and not c.body & vbit} | resolvents
-    return _rebuild(Formula(f.universe, clauses), keep_mask)
+    return _rebuild(f.universe, clauses, keep_mask)

@@ -41,13 +41,38 @@ class Clause(NamedTuple):
         return bool(self.body >> self.head & 1)
 
 
+def _byte_ids() -> tuple[tuple[int, ...], ...]:
+    """Entry `b` holds the ascending bit positions set in the byte `b`:
+    the bytes with bit `i` set follow those below `1 << i`, with `i`
+    appended."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(8):
+        table += [ids + (i,) for ids in table]
+    return tuple(table)
+
+
+_BYTE_IDS = _byte_ids()
+
+
 def bit_ids(mask: int) -> tuple[int, ...]:
-    """Ascending variable ids set in a mask."""
+    """Ascending variable ids set in a mask.
+
+    Reads the ids of eight bits at a time from `_BYTE_IDS`, jumping over
+    zero bytes to the lowest set bit, so a mask below 256 is one lookup.
+    """
+    if mask < 256:
+        return _BYTE_IDS[mask]
     ids = []
+    base = 0
     while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
+        if not mask & 255:
+            skip = (mask & -mask).bit_length() - 1
+            mask >>= skip
+            base += skip
+        for i in _BYTE_IDS[mask & 255]:
+            ids.append(base + i)
+        mask >>= 8
+        base += 8
     return tuple(ids)
 
 
@@ -272,8 +297,13 @@ def parse_variables(text: str) -> list[str]:
 
 
 def normalize(f: Formula) -> Formula:
-    """Drop tautological clauses and merge duplicates; idempotent."""
-    return Formula(f.universe, (c for c in f.clauses if not c.is_tautology()))
+    """Drop tautological clauses; idempotent.  A `Formula` is already
+    duplicate-free, sorted and immutable, so one with no tautology is
+    returned itself."""
+    kept = [c for c in f.clauses if not c.is_tautology()]
+    if len(kept) == len(f.clauses):
+        return f
+    return Formula(f.universe, kept)
 
 
 # ---------------------------------------------------------------------------

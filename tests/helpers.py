@@ -22,7 +22,9 @@ and fall back to a comma form when it does not read back, and
 `two_path_expand_item` expands `->` and `=` items on separate paths over
 the shipped `_tokenize_side`.  The earlier forward-chaining kernel is kept
 as `counting_propagate`, Dowling-Gallier counting over watch lists, which
-also gives the fired clause indexes in firing order.
+also gives the fired clause indexes in firing order, and the earlier
+`bit_ids`, which peels the lowest set bit one at a time, as
+`loop_bit_ids`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ def naive_propagate(clauses, seed: int) -> tuple[int, int, set[int]]:
     for i in fired:
         heads |= 1 << clauses[i][0]
     return closure, heads, fired
+
+
+def loop_bit_ids(mask: int) -> tuple[int, ...]:
+    """Ascending ids set in a mask, by peeling off its lowest set bit."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
 
 
 def counting_propagate(clauses, seed: int) -> tuple[int, int, list[int]]:

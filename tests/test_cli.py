@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -67,6 +68,16 @@ class TestExitCodes:
         assert code == 64
         assert "z" in err
         assert out == ""
+
+    def test_forget_unknown_names_listed_once_in_order(self):
+        code, out, err = run(["-f", "a->b", "--forget", "zz"])
+        assert code == 64
+        assert out == ""
+        assert err.splitlines() == [
+            "usage error: --forget names variables not in inline: z"]
+        _, _, err = run(["-f", "a->b", "--forget", "y,a,x,y,x"])
+        assert err.splitlines() == [
+            "usage error: --forget names variables not in inline: y,x"]
 
     def test_forget_text_no_reading_resolves_is_one_usage_error(
             self, corpus_dir):
@@ -348,3 +359,31 @@ class TestModes:
         code, out, _ = run(["-f", "ab->cd", "df=gh"])
         assert code in (0, 1)
         assert "candidates tested" in out
+
+
+class TestCorpusOutputPin:
+    """The whole output of `singlehead -t corpus` pinned, from the root of
+    the repository so that the printed paths are `corpus/...`.
+
+    Each case pins the exit code and the SHA-256 of stdout and of stderr.
+    A change meant to keep every output leaves these as they are.  When an
+    output change is intended, run the same `run_cli` call from the root
+    of the repository, check the new output by hand, and pin the digests
+    it prints, saying so in the change's notes.
+    """
+
+    @pytest.mark.parametrize("flags, code, out_sha, err_sha", [
+        ([], 1,
+         "476dd08555c33aba02f147c94c7b9e321304c4b297ec775f62a97c0c8f7fe4a4",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (["--json", "--trace", "--oracle"], 64,
+         "cb356af8ad4cfe53312bf33f6aef8f7aaafb6fd49030dc07a2881f1189f78521",
+         "a22ff79e3b54aefb8242989589a0b823497a49590d063394445cfeba1d27878c"),
+    ], ids=["plain", "json-trace-oracle"])
+    def test_corpus_output(self, monkeypatch, flags, code, out_sha,
+                           err_sha):
+        monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
+        got, out, err = run(["-t", "corpus", *flags])
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha, out
+        assert hashlib.sha256(err.encode()).hexdigest() == err_sha, err

@@ -264,6 +264,26 @@ class TestMinbodies:
         context = [cl(u, "a", "b"), cl(u, "b", "a")]
         assert _minbodies(candidates, context) == {cl(u, "a", "x")}
 
+    def test_one_closure_per_body_of_a_head_with_two_or_more(self):
+        module = importlib.import_module("singlehead.closure")
+        lone = 0
+        for seed, every in ((112, 2), (113, 1)):
+            for f in sample_formulas(5, 80, 6, 3, seed=seed):
+                n = len(f.universe)
+                context = f.clauses[::every]
+                candidates = _hclose((1 << n) - 1, f.clauses)
+                sizes = [len({c.body for c in candidates if c.head == h})
+                         for h in {c.head for c in candidates}]
+                lone += sizes.count(1)
+                spy = mock.Mock(side_effect=propagate)
+                with mock.patch.object(module, "propagate", spy):
+                    reduced = _minbodies(candidates, context)
+                assert spy.call_count == sum(s for s in sizes if s > 1)
+                assert reduced == naive_minbodies(
+                    candidates, Formula(f.universe, context)), \
+                    f.clause_texts()
+        assert lone > 50
+
     def test_kept_set_matches_sink_class_reference(self):
         dropped = 0
         for seed, every in ((112, 2), (113, 1)):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas
-from helpers import (counting_propagate, naive_bcn, naive_entails,
-                     naive_propagate, trial_body_text, trial_clause_text,
-                     two_path_expand_item)
+from helpers import (counting_propagate, loop_bit_ids, naive_bcn,
+                     naive_entails, naive_propagate, trial_body_text,
+                     trial_clause_text, two_path_expand_item)
 
 from singlehead.formula import (Clause, Formula, ParseError, Universe,
                                 _expand_item, all_bodies, analyze_body,
@@ -249,10 +249,47 @@ class TestInterning:
             Universe("ab").id("z")
 
 
+class TestBitIds:
+    def test_every_mask_below_4096(self):
+        for mask in range(1 << 12):
+            assert bit_ids(mask) == loop_bit_ids(mask), mask
+
+    def test_random_wide_masks(self):
+        rng = random.Random(2301)
+        for _ in range(2000):
+            mask = rng.getrandbits(rng.randint(9, 600))
+            assert bit_ids(mask) == loop_bit_ids(mask), mask
+
+    @pytest.mark.parametrize("mask", [
+        1 << 399, 1 | 1 << 399, 1 << 8, 1 << 16 | 1 << 7,
+        0xFF << 40 | 1 << 3, 1 << 9 | 1 << 100 | 1 << 233 | 1 << 599,
+        (1 << 600) - 1, 0xA5 << 64 | 0x5A << 8,
+    ], ids=["399", "0,399", "8", "7,16", "3,40-47", "9,100,233,599",
+            "0-599", "a5<<64|5a<<8"])
+    def test_sparse_wide_masks(self, mask):
+        assert bit_ids(mask) == loop_bit_ids(mask)
+
+    def test_sort_order_on_all_bodies(self):
+        rng = random.Random(2303)
+        for n in range(11):
+            masks = all_bodies(n)
+            rng.shuffle(masks)
+            assert sorted(masks, key=bit_ids) == \
+                sorted(masks, key=loop_bit_ids), n
+
+
 class TestNormalize:
     def test_tautology_removed(self):
         f = Formula(Universe("ab"), [Clause(0, 0b01), Clause(1, 0b01)])
-        assert texts(normalize(f)) == {"a->b"}
+        g = normalize(f)
+        assert texts(g) == {"a->b"}
+        assert g is not f and len(f) == 2
+
+    def test_formula_without_tautology_returned_itself(self):
+        for f in sample_formulas(5, 40, 6, 3, seed=2302):
+            assert normalize(f) is f
+        f = parse_formula(["a->b", "b->c", "ac->b"])
+        assert normalize(f) is f
 
     def test_empty(self):
         f = parse_formula([])
