@@ -2,13 +2,14 @@
 
 `_hclose(heads_mask, clauses)` computes, for a set of target heads, every
 body-minimal clause with one of those heads that the clauses entail.  It
-works by saturating the clauses under resolution restricted to the target
-heads, interleaved with subsumption pruning, so the closure never grows
-past the minimal clauses.  The pruning, `_keep`, inserts into an
-occurrence index (`_Kept`): per head and per variable, the bitset of the
-kept slots with that head or holding that variable.  So a kept same-head
-subset, which refuses an insert, and the kept same-head supersets it
-evicts are each found by one mask test, not by a scan of the kept bodies.
+saturates the clauses under resolution restricted to the target heads,
+smallest body first and each resolvent once, with subsumption pruning on
+insert, so the closure never grows past the minimal clauses.  The pruning,
+`_keep`, inserts into an occurrence index (`_Kept`): per head and per
+variable, the bitset of the kept slots with that head or holding that
+variable.  So a kept same-head subset, which refuses an insert, and the
+kept same-head supersets it evicts are each found by one mask test, not by
+a scan of the kept bodies.
 `_minbodies(candidates, context)` then discards candidate clauses whose
 body already entails another candidate body under the context clauses; it
 groups the bodies by their closure under the context and compares only
@@ -18,23 +19,10 @@ the distinct closures, and keeps a head's only body as it is.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Sequence
 
 from .formula import Clause, bit_ids, propagate
-
-
-def resolve_on_head(side: Clause, target: Clause) -> Optional[Clause]:
-    """Resolve the side clause's head away from the target clause's body.
-
-    Returns the resolvent keeping the target's head, or None when the
-    clauses do not resolve or the resolvent is tautological.
-    """
-    if not target.body >> side.head & 1:
-        return None
-    new_body = (target.body & ~(1 << side.head)) | side.body
-    if new_body >> target.head & 1:
-        return None
-    return Clause(target.head, new_body)
 
 
 class _Kept:
@@ -100,12 +88,8 @@ def _keep(kept: _Kept, clause: Clause) -> bool:
 
 
 def _minimal(clauses: Iterable[Clause]) -> set[Clause]:
-    """Clauses whose body is no strict superset of a same-head body.
-
-    The package does not call it: only `bench/tracer.py:LAYERS` names it,
-    which the bench's traced run and `tests/test_bench_tracer.py` need.  It
-    goes when that tracer does.
-    """
+    """Clauses whose body is no strict superset of a same-head body.  The
+    package does not call it: it stays while `bench/tracer.py` names it."""
     kept = _Kept()
     for c in clauses:
         _keep(kept, c)
@@ -113,23 +97,35 @@ def _minimal(clauses: Iterable[Clause]) -> set[Clause]:
 
 
 def _hclose(heads_mask: int, clauses: Sequence[Clause]) -> frozenset[Clause]:
-    """Stack-driven saturation for the head-bounded closure.
+    """Saturation for the head-bounded closure, smallest body first.
 
-    Seeds the stack with the formula's non-tautological target-headed
-    clauses; each popped clause that `_keep` admits is resolved against
-    every formula clause and its resolvents are pushed.  A refused clause
-    needs no resolving: each of its resolvents contains a resolvent of the
-    kept body below it, or that body.  It terminates because an evicted
-    clause stays subsumed, so each clause is kept, and resolved, at most once.
+    A heap keyed `(body size, body, head)`, a total order, starts with the
+    non-tautological target-headed clauses.  Each popped clause that `_keep`
+    admits is resolved on each body variable `v` with each clause headed
+    `v`; a non-tautological resolvent is pushed the first time it appears.
+    The output does not depend on the order, but small bodies first get
+    most supersets refused, not kept and later evicted.
+
+    A refused clause needs no resolving: each of its resolvents contains a
+    resolvent of the kept body below it, or that body.  A repeat needs no
+    push: a kept clause is evicted only by a strict subset, so once its
+    first copy is popped, it or a subset of it stays kept and refuses it.
+    It ends, as each of the finitely many clauses is pushed at most once.
     """
     kept = _Kept()
-    stack = [c for c in clauses
-             if heads_mask >> c.head & 1 and not c.is_tautology()]
-    while stack:
-        target = stack.pop()
-        if _keep(kept, target):
-            stack.extend(r for side in clauses
-                         if (r := resolve_on_head(side, target)) is not None)
+    generated = {(c.body.bit_count(), c.body, c.head) for c in clauses
+                 if heads_mask >> c.head & 1 and not c.is_tautology()}
+    heap = sorted(generated)    # a sorted list is a heap
+    while heap:
+        _, body, head = heappop(heap)
+        if _keep(kept, Clause(head, body)):
+            for v, side in clauses:
+                if body >> v & 1:
+                    new = body & ~(1 << v) | side
+                    entry = (new.bit_count(), new, head)
+                    if not new >> head & 1 and entry not in generated:
+                        generated.add(entry)
+                        heappush(heap, entry)
     return frozenset(kept.live())
 
 

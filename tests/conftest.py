@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from singlehead.formula import Clause, Formula, Universe, letters
+from singlehead.formula import Clause, Formula, Universe, bit_ids, letters
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -57,3 +58,19 @@ def product(k: int, padded: bool = False) -> list[str]:
 
 PRODUCT = {k: product(k) for k in range(2, 9)}
 PADDED_PRODUCT = {k: product(k, padded=True) for k in range(2, 9)}
+
+
+def permuted(f: Formula, ids) -> Formula:
+    """`f` with each variable id `v` replaced by `ids[v]`."""
+    def body(mask):
+        return sum(1 << ids[v] for v in bit_ids(mask))
+
+    return Formula(f.universe,
+                   (Clause(ids[c.head], body(c.body)) for c in f.clauses))
+
+
+def renamed(f: Formula, rng: random.Random) -> Formula:
+    """`f` under a random permutation of its variable ids."""
+    ids = list(range(len(f.universe)))
+    rng.shuffle(ids)
+    return permuted(f, ids)

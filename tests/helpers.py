@@ -24,14 +24,16 @@ the shipped `_tokenize_side`.  The earlier forward-chaining kernel is kept
 as `counting_propagate`, Dowling-Gallier counting over watch lists, which
 also gives the fired clause indexes in firing order, and the earlier
 `bit_ids`, which peels the lowest set bit one at a time, as
-`loop_bit_ids`.
+`loop_bit_ids`.  The earlier pool closure is kept as `stack_hclose`: a
+stack saturation over the shipped `_keep` that resolves each kept clause
+against every clause with `resolve_on_head` and pushes every resolvent.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from singlehead.closure import _hclose
+from singlehead.closure import _hclose, _keep, _Kept
 from singlehead.formula import (Clause, Formula, ParseError, _expand_item,
                                 _tokenize_side, all_bodies, bit_ids,
                                 clause_key, parse_variables, propagate)
@@ -104,6 +106,35 @@ def counting_propagate(clauses, seed: int) -> tuple[int, int, list[int]]:
                 if not counts[j]:
                     fired.append(j)
     return closure, fired_heads, fired
+
+
+def resolve_on_head(side: Clause, target: Clause):
+    """Resolve the side clause's head away from the target clause's body.
+
+    Returns the resolvent keeping the target's head, or None when the
+    clauses do not resolve or the resolvent is tautological.
+    """
+    if not target.body >> side.head & 1:
+        return None
+    new_body = (target.body & ~(1 << side.head)) | side.body
+    if new_body >> target.head & 1:
+        return None
+    return Clause(target.head, new_body)
+
+
+def stack_hclose(heads_mask: int, clauses) -> frozenset[Clause]:
+    """`_hclose` as a stack-driven saturation: each popped clause that
+    `_keep` admits is resolved against every clause with `resolve_on_head`,
+    and every resolvent is pushed, repeats included."""
+    kept = _Kept()
+    stack = [c for c in clauses
+             if heads_mask >> c.head & 1 and not c.is_tautology()]
+    while stack:
+        target = stack.pop()
+        if _keep(kept, target):
+            stack.extend(r for side in clauses
+                         if (r := resolve_on_head(side, target)) is not None)
+    return frozenset(kept.live())
 
 
 def closure_equality_accept(state, body: int, with_candidate) -> bool:

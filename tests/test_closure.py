@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRODUCT
-from helpers import brute_hclose, naive_bcn, naive_minbodies, naive_minimal
+from helpers import (brute_hclose, naive_bcn, naive_minbodies, naive_minimal,
+                     stack_hclose)
 
-from singlehead.closure import (_hclose, _keep, _Kept, _minbodies,
-                                resolve_on_head)
+from singlehead.closure import _hclose, _keep, _Kept, _minbodies
 from singlehead.formula import (Clause, Formula, Universe, clause_key,
                                 parse_formula, propagate)
 from singlehead.oracle import sample_formulas
@@ -33,27 +34,32 @@ def canonical(clauses):
 
 
 class TestResolveOnHead:
+    """One resolution step on the side clause's head, through `_hclose` on
+    the side and target clauses, for the target's head."""
     u = Universe("abcdx")
+
+    def hclose(self, side, target):
+        return _hclose(1 << target.head, [side, target])
 
     def test_shortens_target_body(self):
         side = cl(self.u, "a", "b")
         target = cl(self.u, "abc", "d")
-        assert resolve_on_head(side, target) == cl(self.u, "ac", "d")
+        assert self.hclose(side, target) == {cl(self.u, "ac", "d")}
 
     def test_replaces_variable_with_side_body(self):
         side = cl(self.u, "d", "b")
         target = cl(self.u, "bc", "x")
-        assert resolve_on_head(side, target) == cl(self.u, "dc", "x")
+        assert self.hclose(side, target) == {target, cl(self.u, "dc", "x")}
 
     def test_tautological_resolvent_rejected(self):
         side = cl(self.u, "x", "b")
         target = cl(self.u, "bc", "x")
-        assert resolve_on_head(side, target) is None
+        assert self.hclose(side, target) == {target}
 
     def test_non_matching_clauses(self):
         side = cl(self.u, "a", "b")
         target = cl(self.u, "cd", "x")
-        assert resolve_on_head(side, target) is None
+        assert self.hclose(side, target) == {target}
 
 
 @st.composite
@@ -191,6 +197,15 @@ class TestHclose:
                     if other.head == c.head and other != c:
                         assert other.body & c.body not in (other.body, c.body)
 
+    @settings(max_examples=300)
+    @given(raw_clause_lists(), st.integers(0, 7), st.integers(0, 2 ** 32))
+    def test_matches_stack_reference_in_any_clause_order(self, clauses,
+                                                         heads_mask, seed):
+        expected = stack_hclose(heads_mask, clauses)
+        shuffled = list(clauses)
+        random.Random(seed).shuffle(shuffled)
+        for order in (clauses, clauses[::-1], shuffled):
+            assert _hclose(heads_mask, order) == expected
 
     @pytest.mark.parametrize("k, size", [(4, 82), (5, 244)])
     def test_deep_closure_known_by_construction(self, k, size):

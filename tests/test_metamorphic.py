@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import PADDED_PRODUCT, PRODUCT, ring
+from conftest import PADDED_PRODUCT, PRODUCT, permuted, renamed, ring
 
 from singlehead.forget import forget_by_resolution, forget_single_head
 from singlehead.formula import (Clause, Formula, bit_ids, is_single_head,
@@ -30,22 +30,6 @@ DRAW_SIZES = (10, 11, 12)
 def draws(n: int) -> list[Formula]:
     """Forty seeded random formulas over `n` variables."""
     return list(sample_formulas(n, 40, n + 2, 3, seed=2100 + n))
-
-
-def permuted(f: Formula, ids) -> Formula:
-    """`f` with each variable id `v` replaced by `ids[v]`."""
-    def body(mask):
-        return sum(1 << ids[v] for v in bit_ids(mask))
-
-    return Formula(f.universe,
-                   (Clause(ids[c.head], body(c.body)) for c in f.clauses))
-
-
-def renamed(f: Formula, rng: random.Random) -> Formula:
-    """`f` under a random permutation of its variable ids."""
-    ids = list(range(len(f.universe)))
-    rng.shuffle(ids)
-    return permuted(f, ids)
 
 
 def padded(f: Formula, rng: random.Random, extra: int = 3) -> Formula:

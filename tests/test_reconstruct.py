@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PADDED_PRODUCT, PRODUCT, formulas, ring
+from conftest import PADDED_PRODUCT, PRODUCT, formulas, renamed, ring
 from helpers import (closure_equality_accept, closure_rest_need,
                      listed_rcn_equality, naive_bcn, naive_body_equiv,
-                     naive_body_lt, product_order_search,
+                     naive_body_lt, product_order_search, stack_hclose,
                      ucl_entailment_accept)
 
 from singlehead.closure import _hclose, _minbodies
@@ -499,6 +499,22 @@ class TestSearchWork:
         assert calls == {"filter_rcn_equality": 38,
                          "child_rcn_equality": 2994, "propagate": 2651}
 
+    def test_closure_work(self, monkeypatch):
+        # with a stack and every resolvent pushed, the pool closure made
+        # 390 `_keep` calls on ring-8, 510 on the joined rings and 35,801
+        # on the closed product at k=7
+        closure = importlib.import_module("singlehead.closure")
+        keeps = mock.Mock(side_effect=closure._keep)
+        monkeypatch.setattr(closure, "_keep", keeps)
+        for items, budget, calls, pools in (
+                (RING_8, None, 104, [48]),
+                (JOINED_RINGS, 200_000, 126, [48]),
+                (PRODUCT[7] + ["z->q"], None, 9542, [4] * 7 + [4376])):
+            keeps.reset_mock()
+            out = reconstruct(parse_formula(items), Options(budget=budget))
+            assert keeps.call_count == calls
+            assert [t.pool_size for t in out.report.iterations] == pools
+
     def test_forward_checks_get_no_later_list(self, monkeypatch):
         # each `propagate` of the walk (filter 3, direct or from a checked
         # prefix's closures, and `check_accept`) gets `g` and at most one
@@ -545,6 +561,50 @@ class TestSearchWork:
             for f in sample_formulas(5, 300, 6, 2, seed=4242):
                 reconstruct(f, options)
             assert len(calls) == expected
+
+
+class TestPoolClosureReference:
+    """`_hclose` against the stack saturation `stack_hclose` on the pool
+    inputs of every iteration that `reconstruct` runs."""
+
+    def pool_inputs(self, monkeypatch, f, options=Options()):
+        """The `(heads, ucl)` of each iteration's `candidate_space`."""
+        inputs = []
+
+        def spying(state, body, *args):
+            inputs.append((compute_heads(state, body),
+                           state.analyses[body].ucl))
+            return candidate_space(state, body, *args)
+
+        monkeypatch.setattr(RECONSTRUCT, "candidate_space", spying)
+        reconstruct(f, options)
+        monkeypatch.undo()
+        return inputs
+
+    def check(self, monkeypatch, f, options=Options()):
+        inputs = self.pool_inputs(monkeypatch, f, options)
+        assert inputs
+        for heads, ucl in inputs:
+            assert _hclose(heads, ucl) == stack_hclose(heads, ucl)
+
+    @pytest.mark.parametrize("items, budget", [
+        (RING_7, None), (RING_8, None), (RING_PAIR, None),
+        (JOINED_RINGS, 200_000)])
+    def test_rings(self, monkeypatch, items, budget):
+        self.check(monkeypatch, parse_formula(items), Options(budget=budget))
+
+    def test_renamed_ring_9(self, monkeypatch):
+        # each is decided in its only iteration, so a budget of one
+        # candidate reaches the same pool without the search
+        f = parse_formula(ring(list("abcdefghi")))
+        for seed in range(100, 115):
+            self.check(monkeypatch, renamed(f, random.Random(seed)),
+                       Options(budget=1))
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_products(self, monkeypatch, k):
+        for items in (PRODUCT[k], PRODUCT[k] + ["z->q"]):
+            self.check(monkeypatch, parse_formula(items))
 
 
 def _precheck_run(f, outcomes, every_body=True):
