@@ -6,7 +6,10 @@ generators for sweep tests.  The search tries single-head assignments
 (each variable heads no clause or one clause over the other variables)
 depth-first with a forward check: it drops a partial assignment whose
 clauses plus every option of every later variable fail to entail the
-input.  Entailment is monotone in the clause set, and the complete
+input.  A later variable has an option that fires from a set exactly
+when it lies in the set's closure under the input, so the check reads
+the later variables off the table of every body's closure, one lookup
+per step.  Entailment is monotone in the clause set, and the complete
 assignments are reached in `itertools.product` order, so the witness is
 the one a scan of every assignment finds first.  The search stays
 exponential, so it is guarded to small universes.
@@ -18,8 +21,8 @@ import itertools
 import random
 from typing import Iterator, Optional, Sequence
 
-from .formula import (Clause, Formula, Universe, all_bodies, clause_key,
-                      letters, propagate)
+from .formula import (Clause, Formula, Universe, all_bodies, bit_ids,
+                      clause_key, letters, propagate)
 
 
 class UniverseTooLarge(ValueError):
@@ -40,19 +43,26 @@ def brute_force_single_head_equivalent(
     or None when there is none.
 
     Only single-head candidates whose every clause the input entails can be
-    equivalent, so the per-variable options are pruned to those up front.
-    The search assigns the variables in ascending id, each over its options
-    in order (no clause first), depth-first.  It keeps a partial assignment
-    of the variables up to `v` only if its clauses plus `later[v + 1]`,
-    every option of the variables after `v`, entail every input clause (the
-    forward check); a complete assignment is accepted by the same test with
-    nothing left to add.  `later` leaves out an option whose body holds
-    another option body of the same variable: it derives nothing more.
+    equivalent, so a variable's options are the bodies whose closure under
+    the input holds it and they do not: one pass over `entailed`, the
+    closure of every body (`_closure_table`), in canonical body order.  The
+    search assigns the variables in ascending id, each over its options in
+    order (no clause first), depth-first.  It keeps a partial assignment of
+    the variables up to `v` only if its clauses plus every option of every
+    variable after `v` entail every input clause (the forward check); a
+    complete assignment is accepted by the same test with nothing left to
+    add.
 
-    The root needs no check of its own: `later[0]` alone entails every
-    input clause.  A non-tautological input clause `B->h` has `B` among
-    `h`'s options, so `later[0]` holds some `h<-B'` with `B'` a subset of
-    `B`, which fires from `B`; a tautology is covered by its own body.
+    The options of the later variables `L` enter by a lookup.  For a set
+    `X` and a `u` in `L` outside `X`, some option of `u` fires from `X`
+    exactly when `u` lies in `entailed[X]`: if it does, `X` is itself an
+    option body of `u`; and an option body `o` inside `X` has `u` in
+    `entailed[o]`, a subset of `entailed[X]`.  So the closure under the
+    partial assignment plus the later options is the least fixpoint of
+    `X |= entailed[X] & L` and forward chaining over the assignment, which
+    `_covers_input` computes.  The root needs no check of its own: with
+    `L` holding every variable, the closure from an input body `B` is
+    `entailed[B]`, which holds every head of `B` in the input.
 
     The witness is the one a scan of every assignment in
     `itertools.product` order finds first.  Entailment is monotone in the
@@ -65,29 +75,21 @@ def brute_force_single_head_equivalent(
     if n > max_vars:
         raise UniverseTooLarge(
             f"{n} variables; exhaustive search is guarded to {max_vars}")
-    entailed = {body: propagate(f.clauses, body)[0]
-                for body in all_bodies(n)}
-    options: list[list[Optional[int]]] = []
-    for v in range(n):
-        choices: list[Optional[int]] = [None]
-        choices += [body for body, closure in entailed.items()
-                    if (closure & ~body) >> v & 1]
-        options.append(choices)
+    entailed = _closure_table(f.clauses, n)
+    options: list[list[Optional[int]]] = [[None] for _ in range(n)]
+    for body in sorted(range(1 << n), key=bit_ids):
+        for v in bit_ids(entailed[body] & ~body):
+            options[v].append(body)
     required = _required(f)
-    later: list[tuple[Clause, ...]] = [()] * (n + 1)
-    for v in reversed(range(n)):
-        bodies = options[v][1:]
-        later[v] = tuple(Clause(v, body) for body in bodies
-                         if not any(o & body == o != body for o in bodies)
-                         ) + later[v + 1]
 
     def search(v: int, chosen: tuple[Clause, ...]
                ) -> Optional[tuple[Clause, ...]]:
         if v == n:
             return chosen
+        later = (1 << n) - (2 << v)
         for body in options[v]:
             trial = chosen if body is None else chosen + (Clause(v, body),)
-            if _covers_input(trial + later[v + 1], required):
+            if _covers_input(trial, required, entailed, later):
                 found = search(v + 1, trial)
                 if found is not None:
                     return found
@@ -95,6 +97,22 @@ def brute_force_single_head_equivalent(
 
     clauses = search(0, ())
     return None if clauses is None else Formula(universe, clauses)
+
+
+def _closure_table(clauses: Sequence[Clause], n: int) -> list[int]:
+    """The closure of every body over `n` variables, indexed by mask.
+
+    Each body's entry comes from `below`, the entry of the body without
+    its lowest bit, a subset of the body's closure: it is `below` itself
+    when the body lies inside `below`, and otherwise the closure of the
+    body joined with `below`.
+    """
+    entailed = [propagate(clauses, 0)[0]]
+    for body in range(1, 1 << n):
+        below = entailed[body & (body - 1)]
+        entailed.append(below if not body & ~below
+                        else propagate(clauses, body | below)[0])
+    return entailed
 
 
 def _required(f: Formula) -> dict[int, int]:
@@ -105,12 +123,23 @@ def _required(f: Formula) -> dict[int, int]:
     return required
 
 
-def _covers_input(clauses: Sequence[Clause],
-                  required: dict[int, int]) -> bool:
-    """`clauses` entail every clause of a `_required` table."""
+def _covers_input(clauses: Sequence[Clause], required: dict[int, int],
+                  entailed: Sequence[int] = (), later: int = 0) -> bool:
+    """`clauses` plus every option of the variables of `later` entail
+    every clause of a `_required` table; with `later` empty, `clauses`
+    alone do.
+
+    From each body it alternates forward chaining over `clauses` with
+    adding the variables of `later` in the closure table `entailed`, and
+    stops once the body's heads are in or a step adds nothing.
+    """
     for body, heads in required.items():
-        if heads & ~propagate(clauses, body)[0]:
-            return False
+        closure = propagate(clauses, body)[0]
+        while heads & ~closure:
+            grown = later and entailed[closure] & later & ~closure
+            if not grown:
+                return False
+            closure = propagate(clauses, closure | grown)[0]
     return True
 
 

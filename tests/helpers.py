@@ -8,17 +8,20 @@ use shipped code: `closure_equality_accept`, the earlier acceptance rule,
 compares closures built by the shipped `_hclose` (itself checked against
 `brute_hclose`), `ucl_entailment_accept`, the acceptance rule after it,
 derives every input clause that fires from the body with the shipped
-`propagate`, `product_order_oracle`, the earlier oracle, tests
-every single-head assignment in `itertools.product` order with the
-shipped `propagate`, `product_order_search`, the earlier candidate
-loop, runs the shipped filters and `check_accept` on every candidate one
-by one, `closure_rest_need`, the earlier pre-check of filter 1,
-builds the whole `rest` closure with the shipped `_hclose`, and
-`listed_rcn_equality`, the earlier forward check of filter 3, runs the
-shipped `propagate` over every option of the later heads listed as a
-clause.  The earlier text edge is kept too: `trial_body_text` and
-`trial_clause_text` write a text, parse it back with the shipped parser
-and fall back to a comma form when it does not read back, and
+`propagate`, `product_order_oracle`, the earlier oracle, tests every
+single-head assignment in `itertools.product` order with the shipped
+`propagate`, `listed_later_oracle`, the depth-first oracle after it,
+forward-checks with the shipped `propagate` over the partial assignment
+plus every minimal option of the later variables listed as a clause,
+`product_order_search`, the earlier candidate loop, runs the shipped
+filters and `check_accept` on every candidate one by one,
+`closure_rest_need`, the earlier pre-check of filter 1, builds the whole
+`rest` closure with the shipped `_hclose`, and `listed_rcn_equality`,
+the earlier forward check of filter 3, runs the shipped `propagate` over
+every option of the later heads listed as a clause.  The earlier text
+edge is kept too: `trial_body_text` and `trial_clause_text` write a
+text, parse it back with the shipped parser and fall back to a comma
+form when it does not read back, and
 `two_path_expand_item` expands `->` and `=` items on separate paths over
 the shipped `_tokenize_side`.  The earlier forward-chaining kernel is kept
 as `counting_propagate`, Dowling-Gallier counting over watch lists, which
@@ -178,6 +181,54 @@ def product_order_oracle(f: Formula, max_vars: int):
                for body, heads in required.items()):
             return Formula(f.universe, clauses)
     return None
+
+
+def listed_later_oracle(f: Formula, max_vars: int):
+    """The depth-first oracle with the later variables' options listed as
+    clauses: `later[v]` holds every option of the variables from `v` on
+    whose body holds no other option body of the same variable, and the
+    forward check runs the shipped `propagate` over the partial assignment
+    plus `later[v + 1]`.  Returns the first equivalent single-head formula
+    or None, and the number of forward checks made."""
+    n = len(f.universe)
+    if n > max_vars:
+        raise UniverseTooLarge(f"{n} variables; guarded to {max_vars}")
+    entailed = {body: propagate(f.clauses, body)[0]
+                for body in all_bodies(n)}
+    options = [[None] + [body for body, closure in entailed.items()
+                         if (closure & ~body) >> v & 1]
+               for v in range(n)]
+    required: dict[int, int] = {}
+    for c in f.clauses:
+        required[c.body] = required.get(c.body, 0) | 1 << c.head
+    later = [()] * (n + 1)
+    for v in reversed(range(n)):
+        bodies = options[v][1:]
+        later[v] = tuple(Clause(v, body) for body in bodies
+                         if not any(o & body == o != body for o in bodies)
+                         ) + later[v + 1]
+    checks = 0
+
+    def covers(clauses) -> bool:
+        nonlocal checks
+        checks += 1
+        return all(not heads & ~propagate(clauses, body)[0]
+                   for body, heads in required.items())
+
+    def search(v, chosen):
+        if v == n:
+            return chosen
+        for body in options[v]:
+            trial = chosen if body is None else chosen + (Clause(v, body),)
+            if covers(trial + later[v + 1]):
+                found = search(v + 1, trial)
+                if found is not None:
+                    return found
+        return None
+
+    clauses = search(0, ())
+    return (None if clauses is None else Formula(f.universe, clauses)), \
+        checks
 
 
 def closure_rest_need(state, body: int) -> int:

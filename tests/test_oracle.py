@@ -1,19 +1,30 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import formulas
-from helpers import product_order_oracle
+from helpers import listed_later_oracle, product_order_oracle
 
 from singlehead import oracle
 from singlehead.formula import (Clause, Formula, Universe, is_single_head,
-                                parse_formula)
+                                parse_formula, propagate)
 from singlehead.oracle import (UniverseTooLarge,
                                brute_force_single_head_equivalent,
                                enumerate_small_formulas, formulas_equivalent,
                                sample_formulas)
 from singlehead.reconstruct import reconstruct
+
+
+EDGE_CASES = [
+    Formula(Universe(""), []),
+    Formula(Universe("a"), []),
+    Formula(Universe("a"), [Clause(0, 0b1)]),
+    Formula(Universe("ab"), [Clause(0, 0b11), Clause(1, 0b1)]),
+]
+EDGE_IDS = ["no-variables", "one-variable", "one-variable-tautology",
+            "tautology-and-clause"]
 
 
 class TestEquivalence:
@@ -75,14 +86,16 @@ class TestBruteForce:
     def test_search_is_pruned(self, monkeypatch):
         # One forward check per node tried, over criterion 4's draw: a
         # search that prunes less makes more of them.  38534 while the
-        # root had a check of its own, one per call.
+        # root had a check of its own, one per call.  The check takes the
+        # closure table and the later variables too, so the wrapper passes
+        # on whatever it is given.
         calls = 0
         covers = oracle._covers_input
 
-        def counted(clauses, required):
+        def counted(*args):
             nonlocal calls
             calls += 1
-            return covers(clauses, required)
+            return covers(*args)
 
         monkeypatch.setattr(oracle, "_covers_input", counted)
         for f in sample_formulas(5, 1000, 6, 2, seed=20260810):
@@ -105,27 +118,79 @@ class TestProductOrderWitness:
         assert brute_force_single_head_equivalent(f) == \
             product_order_oracle(f, 5)
 
-    @pytest.mark.parametrize("f", [
-        Formula(Universe(""), []),
-        Formula(Universe("a"), []),
-        Formula(Universe("a"), [Clause(0, 0b1)]),
-        Formula(Universe("ab"), [Clause(0, 0b11), Clause(1, 0b1)]),
-    ], ids=["no-variables", "one-variable", "one-variable-tautology",
-            "tautology-and-clause"])
+    @pytest.mark.parametrize("f", EDGE_CASES, ids=EDGE_IDS)
     def test_edge_cases(self, f):
         witness = brute_force_single_head_equivalent(f)
         assert witness == product_order_oracle(f, 5)
         assert witness is not None and formulas_equivalent(witness, f)
 
 
+def counted_oracle(f: Formula, max_vars: int):
+    """The package oracle's witness and its number of forward checks."""
+    covers = oracle._covers_input
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return covers(*args)
+
+    with mock.patch.object(oracle, "_covers_input", counted):
+        witness = brute_force_single_head_equivalent(f, max_vars=max_vars)
+    return witness, calls
+
+
+class TestListedLaterReference:
+    """The forward check by closure table keeps the search of the listed
+    later options node for node: the same witness after the same number
+    of forward checks."""
+
+    @pytest.mark.parametrize("nvars,count,seed", [
+        (3, 200, 2503), (4, 200, 2504), (5, 120, 2505), (6, 40, 2506)])
+    def test_random_draws(self, nvars, count, seed):
+        for f in sample_formulas(nvars, count, nvars + 1, 2, seed=seed):
+            assert counted_oracle(f, nvars) == listed_later_oracle(f, nvars)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_vars=5))
+    def test_random_formulas(self, f):
+        assert counted_oracle(f, 5) == listed_later_oracle(f, 5)
+
+    @pytest.mark.parametrize("f", EDGE_CASES, ids=EDGE_IDS)
+    def test_edge_cases(self, f):
+        assert counted_oracle(f, 5) == listed_later_oracle(f, 5)
+
+
+class TestClosureTable:
+    """Each entry built from the body without its lowest bit is the
+    body's closure by forward chaining from the body alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_vars=6))
+    def test_matches_direct_closures(self, f):
+        n = len(f.universe)
+        table = oracle._closure_table(f.clauses, n)
+        assert table == [propagate(f.clauses, b)[0] for b in range(1 << n)]
+
+    @pytest.mark.parametrize("f", EDGE_CASES + [
+        Formula(Universe("abc"), [Clause(0, 0), Clause(2, 0b11)]),
+    ], ids=EDGE_IDS + ["empty-body"])
+    def test_edge_cases(self, f):
+        n = len(f.universe)
+        assert oracle._closure_table(f.clauses, n) == \
+            [propagate(f.clauses, b)[0] for b in range(1 << n)]
+
+
 class TestOracleReach:
     """Past the default guard of 5 variables, passed explicitly: the oracle
     and `reconstruct` agree on random formulas."""
 
-    @pytest.mark.parametrize("nvars,max_clauses,seed", [
-        (6, 6, 606), (7, 7, 707)])
-    def test_agrees_with_reconstruction(self, nvars, max_clauses, seed):
-        for f in sample_formulas(nvars, 300, max_clauses, 2, seed=seed):
+    @pytest.mark.parametrize("nvars,max_clauses,seed,count", [
+        (6, 6, 606, 300), (7, 7, 707, 300), (8, 8, 11, 40)],
+        ids=["6-6-606", "7-7-707", "8-8-11"])
+    def test_agrees_with_reconstruction(self, nvars, max_clauses, seed,
+                                        count):
+        for f in sample_formulas(nvars, count, max_clauses, 2, seed=seed):
             witness = brute_force_single_head_equivalent(f, max_vars=nvars)
             expected = "single-head" if witness is not None \
                 else "not-single-head"
