@@ -16,18 +16,20 @@ off; only the reduction can change the witness, and none the verdict.
 One generator, `enumerate_candidates`, walks an iteration's assignments
 depth-first and decides each: it keeps the budget, counts, and runs
 filters 1 and 3 and the acceptance check.  It settles the candidates
-extending a prefix as one block when filter 1 or 3 rejects all of them.
-Both filters are monotone in the clause set, so the counts, where the
-budget runs out and the accepted candidate are those of testing each
-candidate on its own in canonical order.
+extending a prefix as one block when filter 1 or 3 rejects all of them,
+and counts the block toward that filter.  Both filters are monotone in
+the clause set, so each settled candidate is rejected by that filter on
+its own, and `candidates_tested`, where the budget runs out and the
+accepted candidate are those of testing each candidate on its own in
+canonical order.  Only the split of the filter hits can differ, where
+both filters reject a candidate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import (Callable, Iterable, Iterator, Optional, Sequence,
-                    Union)
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .closure import _hclose, _minbodies
 from .formula import (BodyAnalysis, Clause, Formula, analyze_body, bit_ids,
@@ -373,29 +375,15 @@ def apply_iteration(state: ReconstructionState, body: int,
 
 
 def _tables(head_ids: Sequence[int], per_head: Sequence[Sequence[int]]
-            ) -> tuple[list[int], list[int], Callable[[int, int], int]]:
-    """From each head on: the number of completions (`leaves`) and the mask
-    of the heads (`later`); and `covering(d, missing)`, the number of
-    completions from head `d` on whose bodies supply `missing`."""
-    leaves, supply, later = [1], [0], [0]
+            ) -> tuple[list[int], list[int], list[int]]:
+    """From each head on: the number of completions (`leaves`), the mask of
+    the heads (`later`) and the union of their options (`supply`)."""
+    leaves, later, supply = [1], [0], [0]
     for h, bodies in zip(reversed(head_ids), reversed(per_head)):
         leaves.insert(0, leaves[0] * len(bodies))
-        supply.insert(0, supply[0] | _body_vars(bodies))
         later.insert(0, later[0] | 1 << h)
-    memo: dict[tuple[int, int], int] = {}
-
-    def covering(d: int, missing: int) -> int:
-        if not missing:
-            return leaves[d]
-        if missing & ~supply[d]:
-            return 0
-        key = (d, missing)
-        if key not in memo:
-            memo[key] = sum(covering(d + 1, missing & ~b)
-                            for b in per_head[d])
-        return memo[key]
-
-    return leaves, later, covering
+        supply.insert(0, supply[0] | _body_vars(bodies))
+    return leaves, later, supply
 
 
 def enumerate_candidates(state: ReconstructionState, body: int,
@@ -414,22 +402,25 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     canonical order for `head_options` over heads in ascending id and pool
     bodies in canonical body order.  With no heads `()` is the one
     candidate.  The walk keeps the budget, counts, and runs filters 1 and 3
-    and `check_accept`.  It settles the candidates extending a proper prefix as
-    one block when a check shows that filter 1 or filter 3 rejects every
-    one of them, and counts each toward the filter that rejects it when
-    tested one by one.
+    and `check_accept`.  It settles the candidates extending a proper
+    prefix as one block when a check shows that filter 1 or filter 3
+    rejects every one of them, and counts the whole block toward that
+    filter.
 
-    It reads no switch: with filter 1 off `need` is 0, so `covering(d, 0)`
-    is the whole block and filter 1 passes, and with filter 3 off it has
-    no pool bodies to visit (`checked`), so `filter_rcn_equality` passes.
+    It reads no switch: with filter 1 off `need` is 0, so nothing is
+    missing and filter 1 passes, and with filter 3 off it has no pool
+    bodies to visit (`checked`), so `filter_rcn_equality` passes.
 
     A whole candidate is tested on its own: filter 1 is
     `filter_body_coverage(need, bodies)`, and filter 3 and `check_accept`
     run on its clauses.  At a proper prefix both checks look forward, and
-    both are monotone in the clause set.  `covering(d, missing)` is the
-    number of completions from head `d` on whose bodies supply `missing`;
-    the candidates extending a prefix that pass filter 1 are those
-    covering what `need` still misses after the prefix bodies.  Filter 3
+    both are monotone in the clause set.  Filter 1 settles the block when
+    `need` misses, after the prefix bodies, a variable outside `supply[d]`,
+    the union of the later heads' options: no extending candidate's
+    bodies supply it.  It asks no more: whether some completion supplies
+    all that is missing is set cover, and how many do is a permanent.  A
+    block that passes while none of its candidates passes filter 1 is
+    left to filter 3 or walked into.  Filter 3
     is run on the prefix clauses with the later heads as a mask, which
     stands for every option of theirs (`filter_rcn_equality`): a superset
     of each extending candidate's clauses.  The heads that fire from a pool
@@ -438,8 +429,10 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     entailed by the input and no tautology, so it has its head in `rcn`,
     and the candidates' heads are this iteration's.  So a variable of
     `rcn` missed under the superset is missed by every extending
-    candidate, and filter 3 rejects each one that filter 1 passes.  A
-    block that would take `candidates_tested` past the budget is not
+    candidate, and filter 3 rejects each one.  So each candidate of a
+    settled block counts toward a filter that rejects it on its own;
+    tested one by one, a candidate that both reject counts toward filter
+    1.  A block that would take `candidates_tested` past the budget is not
     settled: the walk goes on into it, and yields a whole candidate past
     the budget, for `run_iteration` to stop at it.
 
@@ -459,7 +452,7 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     candidate costs (filters 1 and 3 and `check_accept`).
     """
     hits = trace.filter_hits
-    covering = None
+    supply = None
     nodes: list[Optional[tuple[list[tuple[int, int]], list[int]]]] = []
     stack: list[tuple[int, ...]] = [()]
     while stack:
@@ -485,22 +478,24 @@ def enumerate_candidates(state: ReconstructionState, body: int,
                 return
             continue
         if trace.candidates_tested:
-            if covering is None:
-                leaves, later, covering = _tables(head_ids, per_head)
+            if supply is None:
+                leaves, later, supply = _tables(head_ids, per_head)
                 nodes = [None] * (len(head_ids) + 1)
             block = leaves[d]
             node = None
             if budget is None or trace.candidates_tested + block <= budget:
-                passing = covering(d, need & ~_body_vars(prefix))
-                node = (state.g + list(zip(head_ids, prefix)), [])
-                if not passing or not (
-                        filter_rcn_equality(state, body, node[0], checked,
-                                            later[d])
-                        if parent is None else child_rcn_equality(
-                            parent, prefix[-1], checked, later[d])):
+                if need & ~_body_vars(prefix) & ~supply[d]:
+                    rejected_by = "body_coverage"
+                else:
+                    node = (state.g + list(zip(head_ids, prefix)), [])
+                    passes = (filter_rcn_equality(state, body, node[0],
+                                                  checked, later[d])
+                              if parent is None else child_rcn_equality(
+                                  parent, prefix[-1], checked, later[d]))
+                    rejected_by = None if passes else "consequence_equality"
+                if rejected_by:
                     trace.candidates_tested += block
-                    hits["body_coverage"] += block - passing
-                    hits["consequence_equality"] += passing
+                    hits[rejected_by] += block
                     continue
             nodes[d + 1] = node
         stack.extend([prefix + (b,) for b in reversed(per_head[d])])

@@ -18,12 +18,14 @@ filters and `check_accept` on every candidate one by one,
 `closure_rest_need`, the earlier pre-check of filter 1, builds the whole
 `rest` closure with the shipped `_hclose`, and `listed_rcn_equality`,
 the earlier forward check of filter 3, runs the shipped `propagate` over
-every option of the later heads listed as a clause.  The earlier text
-edge is kept too: `trial_body_text` and `trial_clause_text` write a
-text, parse it back with the shipped parser and fall back to a comma
-form when it does not read back, and
-`two_path_expand_item` expands `->` and `=` items on separate paths over
-the shipped `_tokenize_side`.  The earlier forward-chaining kernel is kept
+every option of the later heads listed as a clause.  The earlier count of
+filter 1 at a block is kept as `completion_covering`: the exact number of
+completions whose bodies supply the missing variables, memoized.  The
+earlier text edge is kept too: `trial_body_text` and `trial_clause_text`
+write a text, parse it back with the shipped parser and fall back to a
+comma form when it does not read back, and `two_path_expand_item`
+expands `->` and `=` items on separate paths over the shipped
+`_tokenize_side`.  The earlier forward-chaining kernel is kept
 as `counting_propagate`, Dowling-Gallier counting over watch lists, which
 also gives the fired clause indexes in firing order, and the earlier
 `bit_ids`, which peels the lowest set bit one at a time, as
@@ -255,6 +257,31 @@ def listed_rcn_equality(state, body: int, with_candidate, pool_bodies,
     target = state.analyses[body].rcn_mask
     return all(propagate(clauses, other)[1] == target
                for other in pool_bodies)
+
+
+def completion_covering(per_head):
+    """`covering(d, missing)`: the number of completions from head `d` on,
+    one option per head of `per_head`, whose bodies supply every variable
+    of `missing`; recursive over the heads and memoized on `(d, missing)`,
+    so its work grows with the subsets of `missing`."""
+    leaves, supply = [1], [0]
+    for bodies in reversed(per_head):
+        leaves.insert(0, leaves[0] * len(bodies))
+        supply.insert(0, supply[0] | _body_vars(bodies))
+    memo = {}
+
+    def covering(d: int, missing: int) -> int:
+        if not missing:
+            return leaves[d]
+        if missing & ~supply[d]:
+            return 0
+        key = (d, missing)
+        if key not in memo:
+            memo[key] = sum(covering(d + 1, missing & ~b)
+                            for b in per_head[d])
+        return memo[key]
+
+    return covering
 
 
 def product_order_search(state, body: int, options):

@@ -377,7 +377,7 @@ class TestCorpusOutputPin:
          "476dd08555c33aba02f147c94c7b9e321304c4b297ec775f62a97c0c8f7fe4a4",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         (["--json", "--trace", "--oracle"], 64,
-         "cb356af8ad4cfe53312bf33f6aef8f7aaafb6fd49030dc07a2881f1189f78521",
+         "e17a408b9ce5a272af43eba373f2270159223d5605321589bd8cc490cd2a8fd1",
          "a22ff79e3b54aefb8242989589a0b823497a49590d063394445cfeba1d27878c"),
     ], ids=["plain", "json-trace-oracle"])
     def test_corpus_output(self, monkeypatch, flags, code, out_sha,

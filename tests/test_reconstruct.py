@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import importlib
 import itertools
 import random
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import PADDED_PRODUCT, PRODUCT, formulas, renamed, ring
 from helpers import (closure_equality_accept, closure_rest_need,
-                     listed_rcn_equality, naive_bcn, naive_body_equiv,
-                     naive_body_lt, product_order_search, stack_hclose,
-                     ucl_entailment_accept)
+                     completion_covering, listed_rcn_equality, naive_bcn,
+                     naive_body_equiv, naive_body_lt, product_order_search,
+                     stack_hclose, ucl_entailment_accept)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, Universe, analyze_body,
@@ -221,17 +222,24 @@ class TestEnumerateCandidates:
         assert self._walk("xy", ["a", "b"], 4)[1] is None
 
     def test_settled_prefix_yields_nothing_under_it(self):
-        a, b, c = self.u.mask("a"), self.u.mask("b"), self.u.mask("c")
+        a, b, c, x = (self.u.mask(v) for v in "abcx")
+        # head a takes x, head x does not: after (c,) the later options
+        # miss x, so the block of 2 is counted toward filter 1 and none of
+        # it is tested
+        trace, stop, tested = self._walk("ax", ["b", "c", "x"], need="bx")
+        assert tested == [(b, b), (b, c), (x, b), (x, c)]
+        assert trace.candidates_tested == 6
+        assert trace.filter_hits["body_coverage"] == 5
+        # a budget that the block would cross walks into it
+        trace, stop, tested = self._walk("ax", ["b", "c", "x"], 3, "bx")
+        assert tested == [(b, b), (b, c), (c, b)]
+        assert stop == (c, c) and trace.candidates_tested == 3
+        # no completion of (b,) supplies both a and c, but the later
+        # options have both: the walk tests that block one by one
         trace, stop, tested = self._walk("xy", ["a", "b", "c"], need="ac")
-        # no completion of (b,) supplies both a and c: its block of 3 is
-        # counted toward filter 1 and none of it is tested
-        assert tested == [(a, a), (a, b), (a, c), (c, a), (c, b), (c, c)]
+        assert tested == list(itertools.product([a, b, c], repeat=2))
         assert trace.candidates_tested == 9
         assert trace.filter_hits["body_coverage"] == 7
-        # a budget that the block would cross walks into it
-        trace, stop, tested = self._walk("xy", ["a", "b", "c"], 4, "ac")
-        assert tested == [(a, a), (a, b), (a, c), (b, a)]
-        assert stop == (b, b) and trace.candidates_tested == 4
 
 
 class TestFilters:
@@ -464,9 +472,9 @@ class TestSearchWork:
             == (1225, 601, 703, 213)
         assert not any(hits.values())
 
-    def _calls(self, monkeypatch, items, budget=None):
-        """Outcome, and the filter 3 (direct and from a checked prefix's
-        closures) and `propagate` calls it took."""
+    def _calls(self, monkeypatch, f, budget=None):
+        """Outcome on formula `f`, and the filter 3 (direct and from a
+        checked prefix's closures) and `propagate` calls it took."""
         module = importlib.import_module("singlehead.reconstruct")
         calls = {"filter_rcn_equality": 0, "child_rcn_equality": 0,
                  "propagate": 0}
@@ -475,7 +483,7 @@ class TestSearchWork:
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(module, name, counting)
-        out = reconstruct(parse_formula(items), Options(budget=budget))
+        out = reconstruct(f, Options(budget=budget))
         monkeypatch.undo()
         return out, calls
 
@@ -484,20 +492,44 @@ class TestSearchWork:
         # `propagate` calls, and the joined rings 89,903 and 96,780; with
         # each child of a checked prefix tested on its own, ring-8 took 43
         # and 197, and the joined rings 3,032 and 8,200; with `check_accept`
-        # deriving every `ucl` clause, ring-8 took 155 `propagate` calls
-        out, calls = self._calls(monkeypatch, RING_8)
+        # deriving every `ucl` clause, ring-8 took 155 `propagate` calls;
+        # when filter 1 counted the completions that cover, it settled more
+        # blocks: ring-8 took 22 direct checks and 149 `propagate` calls,
+        # and the joined rings 2,994 cached checks and 2,651 `propagate`
+        # calls, with 110,097 filter 1 and 89,903 filter 3 hits
+        out, calls = self._calls(monkeypatch, parse_formula(RING_8))
         assert (out.verdict, out.report.candidates_tested) \
             == ("single-head", 67147)
-        assert calls == {"filter_rcn_equality": 22, "child_rcn_equality": 21,
-                         "propagate": 149}
-        out, calls = self._calls(monkeypatch, JOINED_RINGS, budget=200_000)
+        assert calls == {"filter_rcn_equality": 26, "child_rcn_equality": 21,
+                         "propagate": 165}
+        out, calls = self._calls(monkeypatch, parse_formula(JOINED_RINGS),
+                                 budget=200_000)
         assert (out.verdict, out.report.candidates_tested) \
             == ("inconclusive", 200_000)
         assert out.report.filter_hits == {
-            "body_coverage": 110097, "head_reachability": 0,
-            "consequence_equality": 89903}
+            "body_coverage": 32, "head_reachability": 0,
+            "consequence_equality": 199968}
         assert calls == {"filter_rcn_equality": 38,
-                         "child_rcn_equality": 2994, "propagate": 2651}
+                         "child_rcn_equality": 3240, "propagate": 2675}
+
+    def test_star(self, monkeypatch):
+        # 24 variables, each equivalent to the first: one iteration of 23
+        # heads with 23 options each.  Counting the completions that cover
+        # what filter 1 misses took time exponential in the heads (over 6 s
+        # at 18 variables); the supply test settles a block by one mask
+        u = Universe(f"v{i:02d}" for i in range(24))
+        f = Formula(u, [Clause(i, 1) for i in range(1, 24)]
+                    + [Clause(0, 1 << i) for i in range(1, 24)])
+        out, calls = self._calls(monkeypatch, f)
+        assert out.verdict == "single-head"
+        assert formulas_equivalent(out.formula, f)
+        assert out.report.candidates_tested \
+            == 992_253_644_620_871_852_872_243_299_446
+        assert out.report.filter_hits == {
+            "body_coverage": 1012, "head_reachability": 0,
+            "consequence_equality": 992_253_644_620_871_852_872_243_298_433}
+        assert calls == {"filter_rcn_equality": 442,
+                         "child_rcn_equality": 252, "propagate": 1900}
 
     def test_closure_work(self, monkeypatch):
         # with a stack and every resolvent pushed, the pool closure made
@@ -863,7 +895,9 @@ class TestChildVerdicts:
 
 class TestTables:
     """`_tables` against the definitions of its tables, at every depth of
-    every iteration that `reconstruct` reaches, filter 1 on and off."""
+    every iteration that `reconstruct` reaches, filter 1 on and off; and
+    filter 1's block test against the exact count `completion_covering`:
+    no completion supplies a variable outside `supply`."""
 
     def test_sampled_formulas(self):
         rng = random.Random(2100)
@@ -878,25 +912,33 @@ class TestTables:
                     for exclude in (True, False):
                         self._check(head_ids, head_options(
                             head_ids, pool_bodies, exclude), n, rng, outcomes)
-        # none, some and all of the completions cover
-        assert all(outcomes[kind] > 100 for kind in ("none", "some", "all"))
+        # none, some and all of the completions cover, and a variable
+        # lies outside the options left
+        assert all(outcomes[kind] > 100
+                   for kind in ("none", "some", "all", "unsupplied"))
 
     @staticmethod
     def _check(head_ids, per_head, n, rng, outcomes):
-        leaves, later, covering = _tables(head_ids, per_head)
-        assert len(leaves) == len(later) == len(head_ids) + 1
+        leaves, later, supply = _tables(head_ids, per_head)
+        covering = completion_covering(per_head)
+        assert len(leaves) == len(later) == len(supply) == len(head_ids) + 1
         for d in range(len(head_ids) + 1):
             supplies = [_body_vars(completion) for completion
                         in itertools.product(*per_head[d:])]
             assert leaves[d] == len(supplies)
             assert later[d] == _body_vars(1 << h for h in head_ids[d:])
-            supplied = _body_vars(supplies)
+            assert supply[d] == _body_vars(_body_vars(bodies)
+                                           for bodies in per_head[d:])
             for within in (False, True, True):
-                # half the draws only miss variables the bodies supply
-                missing = rng.getrandbits(n) & (supplied if within else -1)
+                # two thirds of the draws only miss variables the bodies
+                # supply
+                missing = rng.getrandbits(n) & (supply[d] if within else -1)
                 got = covering(d, missing)
                 assert got == sum(not missing & ~s for s in supplies), \
                     (head_ids, per_head, d, missing)
+                if missing & ~supply[d]:
+                    assert got == 0, (head_ids, per_head, d, missing)
+                    outcomes["unsupplied"] += 1
                 outcomes["none" if not got else
                          "all" if got == leaves[d] else "some"] += 1
 
@@ -979,15 +1021,26 @@ def _switch_combinations(budget=None):
 
 def _compare_with_product_order(f, options):
     """Every iteration `reconstruct` reaches on `f`: `run_iteration` gives
-    the trace and failure of testing each candidate on its own.  Returns
-    the traces compared."""
+    the trace and failure of testing each candidate on its own, but for
+    the split of `filter_hits`.  A settled block counts toward the filter
+    that settled it, and tested one by one a candidate that filters 1 and
+    3 both reject counts toward filter 1: so the totals and filter 2's
+    hits are equal, and filter 1 has at most the reference's hits.
+    Returns the traces compared."""
     state = new_state(f)
     traces = []
     while state.agenda:
         body = choose_minimal_body(state)
         got = run_iteration(state, body, options)
-        assert got == product_order_search(state, body, options), \
-            (f.clause_texts(), body, options)
+        want = product_order_search(state, body, options)
+        context = (f.clause_texts(), body, options)
+        hits, want_hits = got[0].filter_hits, want[0].filter_hits
+        assert sum(hits.values()) == sum(want_hits.values()), context
+        assert hits["head_reachability"] == want_hits["head_reachability"], \
+            context
+        assert hits["body_coverage"] <= want_hits["body_coverage"], context
+        assert got == (dataclasses.replace(want[0], filter_hits=hits),
+                       want[1]), context
         trace, failure = got
         traces.append(trace)
         if failure is not None:
@@ -998,7 +1051,8 @@ def _compare_with_product_order(f, options):
 
 class TestBlockSettling:
     """Candidates settled as a block by a forward check are counted as
-    testing them one by one in canonical order counts them."""
+    testing them one by one in canonical order counts them, but for the
+    split of the filter hits."""
 
     def test_sampled_formulas(self):
         tested = steps = 0
@@ -1015,7 +1069,7 @@ class TestBlockSettling:
         settled = tested - sum(len(call.args) == 2
                                for call in spy.call_args_list)
         assert steps > 15000
-        assert settled > 30000   # 33,439, in blocks of any size
+        assert settled > 30000   # 33,387, in blocks of any size
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(max_vars=6, max_clauses=8),
