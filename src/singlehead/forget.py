@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .formula import (Clause, Formula, Universe, bit_ids, is_single_head,
-                      normalize)
+                      normalize, union)
 
 
 def _rebuild(old: Universe, clauses: Iterable[Clause],
@@ -22,13 +22,10 @@ def _rebuild(old: Universe, clauses: Iterable[Clause],
     keep_ids = bit_ids(keep_mask)
     new = Universe(old.names[i] for i in keep_ids)
     remap = {i: new.id(old.names[i]) for i in keep_ids}
-    rebuilt = []
-    for c in clauses:
-        body = 0
-        for old_id in bit_ids(c.body & keep_mask):
-            body |= 1 << remap[old_id]
-        rebuilt.append(Clause(remap[c.head], body))
-    return Formula(new, rebuilt)
+    return Formula(new, [
+        Clause(remap[c.head],
+               union(1 << remap[i] for i in bit_ids(c.body & keep_mask)))
+        for c in clauses])
 
 
 def forget_single_head(f: Formula, keep: Iterable[str]) -> Formula:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -55,25 +57,22 @@ _BYTE_IDS = _byte_ids()
 
 
 def bit_ids(mask: int) -> tuple[int, ...]:
-    """Ascending variable ids set in a mask.
-
-    Reads the ids of eight bits at a time from `_BYTE_IDS`, jumping over
-    zero bytes to the lowest set bit, so a mask below 256 is one lookup.
-    """
+    """Ascending variable ids set in a mask: one lookup in `_BYTE_IDS`
+    below 256, else the lowest set bit peeled off one at a time."""
     if mask < 256:
         return _BYTE_IDS[mask]
     ids = []
-    base = 0
     while mask:
-        if not mask & 255:
-            skip = (mask & -mask).bit_length() - 1
-            mask >>= skip
-            base += skip
-        for i in _BYTE_IDS[mask & 255]:
-            ids.append(base + i)
-        mask >>= 8
-        base += 8
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(ids)
+
+
+def union(masks: Iterable[int]) -> int:
+    """The union of some masks; `union(1 << i for i in ids)` is the mask
+    of some ids."""
+    return reduce(or_, masks, 0)
 
 
 def clause_key(clause: Clause) -> tuple:
@@ -116,10 +115,7 @@ class Universe:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def mask(self, names: Iterable[str]) -> int:
-        m = 0
-        for name in names:
-            m |= 1 << self.id(name)
-        return m
+        return union(1 << self.id(name) for name in names)
 
     def names_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.names[i] for i in bit_ids(mask))
@@ -171,10 +167,7 @@ class Formula:
         return len(self.clauses)
 
     def __repr__(self) -> str:
-        return f"Formula({' '.join(self.clause_texts()) or 'empty'})"
-
-    def clause_texts(self) -> list[str]:
-        return [self.universe.clause_text(c) for c in self.clauses]
+        return f"Formula({' '.join(formula_items(self)) or 'empty'})"
 
     def body_masks(self) -> tuple[int, ...]:
         """Distinct clause bodies, canonical order."""
@@ -369,7 +362,7 @@ def analyze_body(f: Formula, body: int) -> BodyAnalysis:
 
 def formula_items(f: Formula) -> list[str]:
     """Canonical text items, one clause each; they re-parse to `f`."""
-    return f.clause_texts()
+    return [f.universe.clause_text(c) for c in f.clauses]
 
 
 def letters(n: int) -> str:
@@ -380,17 +373,11 @@ def letters(n: int) -> str:
 
 
 def all_bodies(nvars: int, without: Optional[int] = None,
-               max_size: Optional[int] = None,
-               min_size: int = 0) -> list[int]:
+               max_size: Optional[int] = None) -> list[int]:
     """All body masks over a universe, canonical order, optional bounds."""
     ids = [i for i in range(nvars) if i != without]
     top = max_size if max_size is not None else len(ids)
-    masks = []
-    for size in range(min_size, top + 1):
-        for combo in itertools.combinations(ids, size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            masks.append(mask)
+    masks = [union(1 << i for i in combo) for size in range(top + 1)
+             for combo in itertools.combinations(ids, size)]
     masks.sort(key=bit_ids)
     return masks

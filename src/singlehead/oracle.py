@@ -22,7 +22,7 @@ import random
 from typing import Iterator, Optional, Sequence
 
 from .formula import (Clause, Formula, Universe, all_bodies, bit_ids,
-                      clause_key, letters, propagate)
+                      letters, propagate, union)
 
 
 class UniverseTooLarge(ValueError):
@@ -144,14 +144,11 @@ def _covers_input(clauses: Sequence[Clause], required: dict[int, int],
 
 
 def clause_pool(nvars: int, max_body: int) -> list[Clause]:
-    """All non-tautological clauses with nonempty bodies within bounds."""
-    pool = []
-    for head in range(nvars):
-        for body in all_bodies(nvars, without=head, max_size=max_body,
-                               min_size=1):
-            pool.append(Clause(head, body))
-    pool.sort(key=clause_key)
-    return pool
+    """All non-tautological clauses with nonempty bodies within bounds, in
+    canonical order."""
+    return [Clause(head, body) for head in range(nvars)
+            for body in all_bodies(nvars, without=head, max_size=max_body)
+            if body]
 
 
 def enumerate_small_formulas(nvars: int, max_clauses: int,
@@ -190,8 +187,6 @@ def sample_single_head_formulas(nvars: int, count: int, max_body: int,
                 continue
             others = [i for i in range(nvars) if i != v]
             size = rng.randint(1, min(max_body, len(others)))
-            body = 0
-            for i in rng.sample(others, size):
-                body |= 1 << i
+            body = union(1 << i for i in rng.sample(others, size))
             clauses.append(Clause(v, body))
         yield Formula(universe, clauses)

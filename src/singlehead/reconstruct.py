@@ -13,16 +13,9 @@ has no single-head equivalent; success of all yields one.
 The three rejection filters and the pool reduction can each be switched
 off; only the reduction can change the witness, and none the verdict.
 
-One generator, `enumerate_candidates`, walks an iteration's assignments
-depth-first and decides each: it keeps the budget, counts, and runs
-filters 1 and 3 and the acceptance check.  It settles the candidates
-extending a prefix as one block when filter 1 or 3 rejects all of them,
-and counts the block toward that filter.  Both filters are monotone in
-the clause set, so each settled candidate is rejected by that filter on
-its own, and `candidates_tested`, where the budget runs out and the
-accepted candidate are those of testing each candidate on its own in
-canonical order.  Only the split of the filter hits can differ, where
-both filters reject a candidate.
+One generator, `enumerate_candidates`, walks an iteration's candidates
+and decides each, alone or in a settled block; its docstring argues that
+every count but the split of the filter hits is that of a one-by-one test.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .closure import _hclose, _minbodies
 from .formula import (BodyAnalysis, Clause, Formula, analyze_body, bit_ids,
-                      normalize, propagate)
+                      normalize, propagate, union)
 
 FILTER_NAMES = ("body_coverage", "head_reachability", "consequence_equality")
 
@@ -199,14 +192,6 @@ def head_options(head_ids: Sequence[int], pool_bodies: Sequence[int],
     return [[b for b in pool_bodies if not b >> h & 1] for h in head_ids]
 
 
-def _body_vars(bodies: Iterable[int]) -> int:
-    """The variables of some body masks: their union."""
-    mask = 0
-    for b in bodies:
-        mask |= b
-    return mask
-
-
 def filter_body_coverage(need: int, bodies: Iterable[int] = ()) -> bool:
     """Necessary condition on body variables: the body masks `bodies`
     supply every variable in `need`.
@@ -219,7 +204,7 @@ def filter_body_coverage(need: int, bodies: Iterable[int] = ()) -> bool:
     no candidate supplies, and `bodies` is empty (`rest_need`).  Per
     candidate it holds those of the pool, and `bodies` are the candidate's.
     """
-    return not need & ~_body_vars(bodies)
+    return not need & ~union(bodies)
 
 
 def rest_need(ucl: Sequence[Clause], suspects: int) -> int:
@@ -382,7 +367,7 @@ def _tables(head_ids: Sequence[int], per_head: Sequence[Sequence[int]]
     for h, bodies in zip(reversed(head_ids), reversed(per_head)):
         leaves.insert(0, leaves[0] * len(bodies))
         later.insert(0, later[0] | 1 << h)
-        supply.insert(0, supply[0] | _body_vars(bodies))
+        supply.insert(0, supply[0] | union(bodies))
     return leaves, later, supply
 
 
@@ -484,7 +469,7 @@ def enumerate_candidates(state: ReconstructionState, body: int,
             block = leaves[d]
             node = None
             if budget is None or trace.candidates_tested + block <= budget:
-                if need & ~_body_vars(prefix) & ~supply[d]:
+                if need & ~union(prefix) & ~supply[d]:
                     rejected_by = "body_coverage"
                 else:
                     node = (state.g + list(zip(head_ids, prefix)), [])
@@ -515,7 +500,7 @@ def run_iteration(state: ReconstructionState, body: int, options: Options
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
     head_ids = bit_ids(heads)
     free = ~state.g_body_vars
-    supply = _body_vars(c.body for c in pool)
+    supply = union(c.body for c in pool)
 
     hits = dict.fromkeys(FILTER_NAMES, 0)
     trace = IterationTrace(body, heads, len(pool), len(reduced), 0, hits,

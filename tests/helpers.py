@@ -27,11 +27,10 @@ comma form when it does not read back, and `two_path_expand_item`
 expands `->` and `=` items on separate paths over the shipped
 `_tokenize_side`.  The earlier forward-chaining kernel is kept
 as `counting_propagate`, Dowling-Gallier counting over watch lists, which
-also gives the fired clause indexes in firing order, and the earlier
-`bit_ids`, which peels the lowest set bit one at a time, as
-`loop_bit_ids`.  The earlier pool closure is kept as `stack_hclose`: a
-stack saturation over the shipped `_keep` that resolves each kept clause
-against every clause with `resolve_on_head` and pushes every resolvent.
+also gives the fired clause indexes in firing order.  The earlier pool
+closure is kept as `stack_hclose`: a stack saturation over the shipped
+`_keep` that resolves each kept clause against every clause with
+`resolve_on_head` and pushes every resolvent.
 """
 
 from __future__ import annotations
@@ -41,11 +40,12 @@ import itertools
 from singlehead.closure import _hclose, _keep, _Kept
 from singlehead.formula import (Clause, Formula, ParseError, _expand_item,
                                 _tokenize_side, all_bodies, bit_ids,
-                                clause_key, parse_variables, propagate)
+                                clause_key, parse_variables, propagate,
+                                union)
 from singlehead.oracle import UniverseTooLarge
 from singlehead.reconstruct import (FILTER_NAMES, IterationTrace,
-                                    _body_vars, candidate_space,
-                                    check_accept, compute_heads,
+                                    candidate_space, check_accept,
+                                    compute_heads,
                                     filter_body_coverage, filter_maxit,
                                     filter_rcn_equality)
 
@@ -68,16 +68,6 @@ def naive_propagate(clauses, seed: int) -> tuple[int, int, set[int]]:
     for i in fired:
         heads |= 1 << clauses[i][0]
     return closure, heads, fired
-
-
-def loop_bit_ids(mask: int) -> tuple[int, ...]:
-    """Ascending ids set in a mask, by peeling off its lowest set bit."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(ids)
 
 
 def counting_propagate(clauses, seed: int) -> tuple[int, int, list[int]]:
@@ -242,8 +232,8 @@ def closure_rest_need(state, body: int) -> int:
     heads = compute_heads(state, body)
     pool, _ = candidate_space(state, body, reduce_pool=False)
     rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
-    return _body_vars(c.body for c in rest) & ~state.g_body_vars \
-        & ~_body_vars(c.body for c in pool)
+    return union(c.body for c in rest) & ~state.g_body_vars \
+        & ~union(c.body for c in pool)
 
 
 def listed_rcn_equality(state, body: int, with_candidate, pool_bodies,
@@ -267,7 +257,7 @@ def completion_covering(per_head):
     leaves, supply = [1], [0]
     for bodies in reversed(per_head):
         leaves.insert(0, leaves[0] * len(bodies))
-        supply.insert(0, supply[0] | _body_vars(bodies))
+        supply.insert(0, supply[0] | union(bodies))
     memo = {}
 
     def covering(d: int, missing: int) -> int:
@@ -293,13 +283,13 @@ def product_order_search(state, body: int, options):
     pool_bodies = sorted({c.body for c in reduced}, key=bit_ids)
     head_ids = bit_ids(heads)
     free = ~state.g_body_vars
-    need = _body_vars(c.body for c in pool) & free
+    need = union(c.body for c in pool) & free
     hits = dict.fromkeys(FILTER_NAMES, 0)
     trace = IterationTrace(body, heads, len(pool), len(reduced), 0, hits,
                            None)
     if options.body_coverage:
         rest = _hclose(analysis.rcn_mask & ~heads, analysis.ucl)
-        if not filter_body_coverage(_body_vars(c.body for c in rest) & free,
+        if not filter_body_coverage(union(c.body for c in rest) & free,
                                     (c.body for c in pool)):
             hits["body_coverage"] += 1
             return trace, "body_coverage"

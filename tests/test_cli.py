@@ -8,7 +8,8 @@ import pytest
 
 from singlehead.cli import run_cli
 from singlehead.corpus import load_corpus_file
-from singlehead.formula import Universe, parse_formula, parse_variables
+from singlehead.formula import (Universe, formula_items, parse_formula,
+                                parse_variables)
 
 
 def run(argv):
@@ -206,8 +207,8 @@ class TestJson:
         assert f == parse_formula(["ab->c", "ac->b", "d->a"],
                                   universe=universe)
         # canonical text re-parses to the identical formula
-        assert f.clause_texts() == result["formula"]
-        assert g.clause_texts() == result["output"]
+        assert formula_items(f) == result["formula"]
+        assert formula_items(g) == result["output"]
 
     def test_failure_fields(self):
         code, out, _ = run(["--json", "-t", corpus("samehead.txt")])

@@ -11,9 +11,9 @@ from conftest import PRODUCT
 from helpers import (brute_hclose, naive_bcn, naive_minbodies, naive_minimal,
                      stack_hclose)
 
-from singlehead.closure import _hclose, _keep, _Kept, _minbodies
+from singlehead.closure import _hclose, _keep, _Kept, _minbodies, _minimal
 from singlehead.formula import (Clause, Formula, Universe, clause_key,
-                                parse_formula, propagate)
+                                formula_items, parse_formula, propagate)
 from singlehead.oracle import sample_formulas
 
 
@@ -96,12 +96,12 @@ class TestMinimalClauses:
     @settings(max_examples=400)
     @given(raw_clause_lists())
     def test_matches_naive_filter(self, clauses):
-        assert canonical(kept_after(clauses).live()) == naive_minimal(clauses)
+        assert canonical(_minimal(clauses)) == naive_minimal(clauses)
 
     @settings(max_examples=100, deadline=None)
     @given(wide_clause_lists())
     def test_matches_naive_filter_on_wide_heads(self, clauses):
-        assert canonical(kept_after(clauses).live()) == naive_minimal(clauses)
+        assert canonical(_minimal(clauses)) == naive_minimal(clauses)
 
     def test_descending_inserts_evict_down_to_empty_body(self):
         # every body over 6 variables under head 6, largest popcount first:
@@ -271,7 +271,7 @@ class TestMinbodies:
             for c in candidates:
                 witnesses = [r for r in reduced if r.head == c.head
                              and not r.body & ~naive_bcn(ctx, c.body)]
-                assert witnesses, (f.clause_texts(), c)
+                assert witnesses, (formula_items(f), c)
 
     def test_keeps_canonical_first_of_equivalent_bodies(self):
         u = Universe("abx")
@@ -296,7 +296,7 @@ class TestMinbodies:
                 assert spy.call_count == sum(s for s in sizes if s > 1)
                 assert reduced == naive_minbodies(
                     candidates, Formula(f.universe, context)), \
-                    f.clause_texts()
+                    formula_items(f)
         assert lone > 50
 
     def test_kept_set_matches_sink_class_reference(self):
@@ -309,7 +309,7 @@ class TestMinbodies:
                 reduced = _minbodies(candidates, context)
                 assert reduced == naive_minbodies(
                     candidates, Formula(f.universe, context)), \
-                    f.clause_texts()
+                    formula_items(f)
                 dropped += len(candidates) - len(reduced)
         assert dropped > 100
         # every pool that `reconstruct` reduces on the closed products,

@@ -3,7 +3,8 @@ import pytest
 from helpers import all_keep_sets, projected_models
 
 from singlehead.forget import forget_by_resolution, forget_single_head
-from singlehead.formula import Formula, Universe, parse_formula
+from singlehead.formula import (Formula, Universe, formula_items,
+                                parse_formula)
 from singlehead.oracle import formulas_equivalent
 from singlehead.oracle import sample_single_head_formulas
 
@@ -18,7 +19,7 @@ class TestSubstitution:
     def test_middle_of_chain(self):
         f = parse_formula(["a->b", "b->c", "c->d"])
         out = forget_single_head(f, {"a", "b", "d"})
-        assert set(out.clause_texts()) == {"a->b", "b->d"}
+        assert set(formula_items(out)) == {"a->b", "b->d"}
 
     def test_keep_everything(self):
         f = parse_formula(["a->b", "bc->d"])
@@ -38,7 +39,7 @@ class TestSubstitution:
     def test_fact_definition_substituted(self):
         f = parse_formula(["->a", "ab->c"])
         out = forget_single_head(f, {"b", "c"})
-        assert set(out.clause_texts()) == {"b->c"}
+        assert set(formula_items(out)) == {"b->c"}
 
     def test_rejects_multi_head_input(self):
         f = parse_formula(["a->c", "b->c"])
@@ -56,17 +57,17 @@ class TestResolution:
     def test_chain(self):
         f = parse_formula(["a->b", "b->c"])
         out = forget_by_resolution(f, {"a", "c"})
-        assert set(out.clause_texts()) == {"a->c"}
+        assert set(formula_items(out)) == {"a->c"}
 
     def test_absent_variable_is_identity(self):
         f = parse_formula(["a->b"], universe=Universe("abz"))
         out = forget_by_resolution(f, {"a", "b"})
-        assert set(out.clause_texts()) == {"a->b"}
+        assert set(formula_items(out)) == {"a->b"}
 
     def test_fanout(self):
         f = parse_formula(["a->b", "b->c", "b->d"])
         out = forget_by_resolution(f, {"a", "c", "d"})
-        assert set(out.clause_texts()) == {"a->c", "a->d"}
+        assert set(formula_items(out)) == {"a->c", "a->d"}
 
 
 class TestAgreement:
@@ -75,7 +76,7 @@ class TestAgreement:
             for keep in all_keep_sets(f.universe.names):
                 a = forget_single_head(f, keep)
                 b = forget_by_resolution(f, keep)
-                assert same_modulo_universe(a, b), (f.clause_texts(), keep)
+                assert same_modulo_universe(a, b), (formula_items(f), keep)
 
     def test_only_kept_variables_mentioned(self):
         f = parse_formula(["a->b", "b->c", "cd->e"])
@@ -90,7 +91,7 @@ class TestAgreement:
             for keep in all_keep_sets(names):
                 out = forget_single_head(f, keep)
                 assert projected_models(out, keep) \
-                    == projected_models(f, keep), (f.clause_texts(), keep)
+                    == projected_models(f, keep), (formula_items(f), keep)
 
     def test_model_projection_at_twelve_variables(self):
         for f in sample_single_head_formulas(12, 6, 4, seed=44):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas
-from helpers import (counting_propagate, loop_bit_ids, naive_bcn,
+from helpers import (counting_propagate, naive_bcn,
                      naive_entails, naive_propagate, trial_body_text,
                      trial_clause_text, two_path_expand_item)
 
@@ -14,12 +14,13 @@ from singlehead.formula import (Clause, Formula, ParseError, Universe,
                                 _expand_item, all_bodies, analyze_body,
                                 bit_ids, formula_items,
                                 is_single_head, letters, normalize,
-                                parse_formula, parse_variables, propagate)
+                                parse_formula, parse_variables, propagate,
+                                union)
 from singlehead.oracle import sample_formulas
 
 
 def texts(f):
-    return set(f.clause_texts())
+    return set(formula_items(f))
 
 
 class TestParsing:
@@ -163,8 +164,8 @@ class TestBodyText:
     def test_clause_items_re_parse(self):
         u = Universe(["A", "b", "c"])
         f = parse_formula(["A,b->c", "c,->A", "c,->b"], universe=u)
-        assert f.clause_texts() == ["c,->A", "c->b", "A,b->c"]
-        assert parse_formula(f.clause_texts(), universe=u) == f
+        assert formula_items(f) == ["c,->A", "c->b", "A,b->c"]
+        assert parse_formula(formula_items(f), universe=u) == f
 
 
 class TestTrialParseReference:
@@ -249,16 +250,25 @@ class TestInterning:
             Universe("ab").id("z")
 
 
+def per_bit_ids(mask):
+    """`bit_ids` by its definition: every bit position, tested in turn."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def check_bit_ids(mask):
+    assert bit_ids(mask) == per_bit_ids(mask), mask
+    assert union(1 << i for i in bit_ids(mask)) == mask, mask
+
+
 class TestBitIds:
     def test_every_mask_below_4096(self):
         for mask in range(1 << 12):
-            assert bit_ids(mask) == loop_bit_ids(mask), mask
+            check_bit_ids(mask)
 
     def test_random_wide_masks(self):
         rng = random.Random(2301)
         for _ in range(2000):
-            mask = rng.getrandbits(rng.randint(9, 600))
-            assert bit_ids(mask) == loop_bit_ids(mask), mask
+            check_bit_ids(rng.getrandbits(rng.randint(9, 600)))
 
     @pytest.mark.parametrize("mask", [
         1 << 399, 1 | 1 << 399, 1 << 8, 1 << 16 | 1 << 7,
@@ -267,7 +277,7 @@ class TestBitIds:
     ], ids=["399", "0,399", "8", "7,16", "3,40-47", "9,100,233,599",
             "0-599", "a5<<64|5a<<8"])
     def test_sparse_wide_masks(self, mask):
-        assert bit_ids(mask) == loop_bit_ids(mask)
+        check_bit_ids(mask)
 
     def test_sort_order_on_all_bodies(self):
         rng = random.Random(2303)
@@ -275,7 +285,7 @@ class TestBitIds:
             masks = all_bodies(n)
             rng.shuffle(masks)
             assert sorted(masks, key=bit_ids) == \
-                sorted(masks, key=loop_bit_ids), n
+                sorted(masks, key=per_bit_ids), n
 
 
 class TestNormalize:

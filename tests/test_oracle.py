@@ -8,8 +8,8 @@ from conftest import formulas
 from helpers import listed_later_oracle, product_order_oracle
 
 from singlehead import oracle
-from singlehead.formula import (Clause, Formula, Universe, is_single_head,
-                                parse_formula, propagate)
+from singlehead.formula import (Clause, Formula, Universe, formula_items,
+                                is_single_head, parse_formula, propagate)
 from singlehead.oracle import (UniverseTooLarge,
                                brute_force_single_head_equivalent,
                                enumerate_small_formulas, formulas_equivalent,
@@ -203,7 +203,7 @@ class TestGenerators:
         assert formulas == [Formula(Universe("a"), [])]
 
     def test_two_variable_membership(self):
-        seen = {tuple(f.clause_texts())
+        seen = {tuple(formula_items(f))
                 for f in enumerate_small_formulas(2, 2, 1)}
         assert ("a->b",) in seen
         assert ("b->a",) in seen
@@ -221,11 +221,11 @@ class TestGenerators:
                 assert 1 <= c.body.bit_count() <= 2
 
     def test_sampler_deterministic(self):
-        a = [tuple(f.clause_texts()) for f in sample_formulas(5, 50, 6, 3, 9)]
-        b = [tuple(f.clause_texts()) for f in sample_formulas(5, 50, 6, 3, 9)]
+        a = [tuple(formula_items(f)) for f in sample_formulas(5, 50, 6, 3, 9)]
+        b = [tuple(formula_items(f)) for f in sample_formulas(5, 50, 6, 3, 9)]
         assert a == b
 
     def test_sampler_seed_sensitivity(self):
-        a = [tuple(f.clause_texts()) for f in sample_formulas(5, 50, 6, 3, 9)]
-        b = [tuple(f.clause_texts()) for f in sample_formulas(5, 50, 6, 3, 10)]
+        a = [tuple(formula_items(f)) for f in sample_formulas(5, 50, 6, 3, 9)]
+        b = [tuple(formula_items(f)) for f in sample_formulas(5, 50, 6, 3, 10)]
         assert a != b

@@ -17,13 +17,13 @@ from helpers import (closure_equality_accept, closure_rest_need,
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, Universe, analyze_body,
-                                bit_ids, is_single_head, parse_formula,
-                                propagate)
+                                bit_ids, formula_items, is_single_head,
+                                parse_formula, propagate, union)
 from singlehead.oracle import formulas_equivalent, sample_formulas
 from singlehead.reconstruct import (FILTER_NAMES, Inconclusive,
                                     IterationTrace, NotSingleHead, Options,
-                                    Success, _body_vars, _tables,
-                                    apply_iteration, candidate_space,
+                                    Success, _tables, apply_iteration,
+                                    candidate_space,
                                     check_accept, choose_minimal_body,
                                     compute_heads, enumerate_candidates,
                                     filter_body_coverage, filter_maxit,
@@ -108,14 +108,14 @@ class TestBodyOrder:
                     expected = next(
                         p for p in pending
                         if not any(naive_body_lt(f, o, p) for o in pending))
-                    assert body == expected, f.clause_texts()
+                    assert body == expected, formula_items(f)
                     trace, failure = run_iteration(state, body, Options())
                     if failure is not None:
                         break
                     apply_iteration(state, body, trace.accepted)
                     retired = set(pending) - set(pending_bodies(state))
                     assert retired == {p for p in pending if naive_body_equiv(
-                        f, p, body)}, f.clause_texts()
+                        f, p, body)}, formula_items(f)
                     steps += 1
         assert steps > 300
 
@@ -259,7 +259,7 @@ class TestFilters:
         heads = compute_heads(state, body)
         analysis = state.analyses[body]
         pool = _hclose(heads, analysis.ucl)
-        need = _body_vars(c.body for c in pool) & ~state.g_body_vars
+        need = union(c.body for c in pool) & ~state.g_body_vars
         assert filter_body_coverage(need, (f.universe.mask("a"),))
 
     def test_coverage_vacuous_when_everything_empty(self):
@@ -417,7 +417,7 @@ class TestReconstruct:
                     target = _hclose(analysis.rcn_mask, analysis.ucl)
                     for c in target:
                         assert naive_bcn(g, c.body) >> c.head & 1, \
-                            (f.clause_texts(), k)
+                            (formula_items(f), k)
 
     def test_determinism(self):
         items = ["a->b", "b->a", "bc->d", "d->c", "ab->e"]
@@ -649,7 +649,7 @@ def _precheck_run(f, outcomes, every_body=True):
         for other in pending_bodies(state) if every_body else (body,):
             need = closure_rest_need(state, other)
             pool, _ = candidate_space(state, other, reduce_pool=False)
-            suspects = ~state.g_body_vars & ~_body_vars(c.body for c in pool)
+            suspects = ~state.g_body_vars & ~union(c.body for c in pool)
             assert rest_need(state.analyses[other].ucl, suspects) == need, \
                 (f, other)
             outcomes[bool(need)] += 1
@@ -744,8 +744,8 @@ class TestMultiCharacterNames:
         assert formulas_equivalent(out.formula, expected)
         # a lone name without a digit or `_` keeps its comma, so that the
         # item parses back
-        assert "alpha,->beta" in out.formula.clause_texts()
-        assert parse_formula(out.formula.clause_texts(),
+        assert "alpha,->beta" in formula_items(out.formula)
+        assert parse_formula(formula_items(out.formula),
                              universe=f.universe) == out.formula
 
     def test_failure_body_names(self):
@@ -795,13 +795,13 @@ def _forward_checks(f, rng, outcomes):
         # what the mask form rests on: every pool body holds the body
         # variables outside `rcn`, and every head has a body without it
         underived = body & ~state.analyses[body].rcn_mask
-        assert all(not underived & ~b for b in pool_bodies), f.clause_texts()
+        assert all(not underived & ~b for b in pool_bodies), formula_items(f)
         assert all(any(not b >> h & 1 for b in pool_bodies)
-                   for h in head_ids), f.clause_texts()
+                   for h in head_ids), formula_items(f)
         for exclude in (True, False):
             per_head = head_options(head_ids, pool_bodies, exclude)
             for d in range(len(head_ids) + 1):
-                later = _body_vars(1 << h for h in head_ids[d:])
+                later = union(1 << h for h in head_ids[d:])
                 for _ in range(2):
                     clauses = state.g + [(h, rng.choice(bodies)) for h, bodies
                                          in zip(head_ids, per_head[:d])]
@@ -809,7 +809,7 @@ def _forward_checks(f, rng, outcomes):
                                               pool_bodies, later)
                     assert got == listed_rcn_equality(
                         state, body, clauses, pool_bodies, later, exclude), \
-                        (f.clause_texts(), body, clauses, later, exclude)
+                        (formula_items(f), body, clauses, later, exclude)
                     outcomes[bool(later), exclude, got] += 1
 
 
@@ -923,11 +923,11 @@ class TestTables:
         covering = completion_covering(per_head)
         assert len(leaves) == len(later) == len(supply) == len(head_ids) + 1
         for d in range(len(head_ids) + 1):
-            supplies = [_body_vars(completion) for completion
+            supplies = [union(completion) for completion
                         in itertools.product(*per_head[d:])]
             assert leaves[d] == len(supplies)
-            assert later[d] == _body_vars(1 << h for h in head_ids[d:])
-            assert supply[d] == _body_vars(_body_vars(bodies)
+            assert later[d] == union(1 << h for h in head_ids[d:])
+            assert supply[d] == union(union(bodies)
                                            for bodies in per_head[d:])
             for within in (False, True, True):
                 # two thirds of the draws only miss variables the bodies
@@ -956,7 +956,7 @@ class TestAcceptFastPath:
                     decision = check_accept(state, body, git)
                     assert decision == ucl_entailment_accept(
                         state, body, git) == closure_equality_accept(
-                        state, body, git), (f.clause_texts(), body, git)
+                        state, body, git), (formula_items(f), body, git)
                     checked += 1
                     accepted += decision
                     clauses = [c for c in git if not c.is_tautology()]
@@ -985,16 +985,16 @@ class TestReductionContext:
         shrunk = 0
         for state, body, processed in _reduction_contexts(f):
             g = Formula(u, state.g)
-            union = Formula(u, processed)
-            assert all(naive_bcn(union, c.body) >> c.head & 1
-                       for c in g.clauses), f.clause_texts()
+            joined = Formula(u, processed)
+            assert all(naive_bcn(joined, c.body) >> c.head & 1
+                       for c in g.clauses), formula_items(f)
             assert all(naive_bcn(g, c.body) >> c.head & 1
-                       for c in union.clauses), f.clause_texts()
+                       for c in joined.clauses), formula_items(f)
             context = tuple(c for c in state.analyses[body].ucl
                             if c in processed)
             pool, reduced = candidate_space(state, body)
             assert reduced == _minbodies(pool, context), \
-                (f.clause_texts(), body)
+                (formula_items(f), body)
             shrunk += reduced != _minbodies(pool, ())
         return shrunk
 
@@ -1033,7 +1033,7 @@ def _compare_with_product_order(f, options):
         body = choose_minimal_body(state)
         got = run_iteration(state, body, options)
         want = product_order_search(state, body, options)
-        context = (f.clause_texts(), body, options)
+        context = (formula_items(f), body, options)
         hits, want_hits = got[0].filter_hits, want[0].filter_hits
         assert sum(hits.values()) == sum(want_hits.values()), context
         assert hits["head_reachability"] == want_hits["head_reachability"], \
@@ -1124,7 +1124,7 @@ class TestBudget:
 
 
 def _witness(out):
-    return out.formula.clause_texts() if isinstance(out, Success) else None
+    return formula_items(out.formula) if isinstance(out, Success) else None
 
 
 class TestFilterTransparency:
@@ -1139,7 +1139,7 @@ class TestFilterTransparency:
                     out = reconstruct(f, Options(*on))
                     assert (out.verdict, _witness(out)) \
                         == (reference.verdict, _witness(reference)), \
-                        (f.clause_texts(), on)
+                        (formula_items(f), on)
         assert single == 216
 
     def test_accepted_candidates_pass_filters_1_and_3(self):
@@ -1156,7 +1156,7 @@ class TestFilterTransparency:
                                                         reduce_pool)
                         pool_bodies = sorted({c.body for c in reduced},
                                              key=bit_ids)
-                        need = _body_vars(c.body for c in pool) \
+                        need = union(c.body for c in pool) \
                             & ~state.g_body_vars
                         for bodies in itertools.product(*head_options(
                                 head_ids, pool_bodies, False)):
