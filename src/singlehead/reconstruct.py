@@ -297,27 +297,30 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
     return True
 
 
-def child_rcn_equality(node: tuple[list[tuple[int, int]], list[int]],
-                       option: int, checked: Sequence[int], later: int
-                       ) -> bool:
+def child_rcn_equality(node: list, option: int, checked: Sequence[int],
+                       later: int) -> bool:
     """`filter_rcn_equality` on a child of a prefix that passed it, with
     the later heads `later`: the child adds a clause on body `option` to
     the prefix clauses, and passes exactly when `option` lies in the
     closure of each pool body of `checked`, plus `later`, under the prefix
     clauses (the proof is in `filter_rcn_equality`).
 
-    `node` holds the prefix clauses, `g` included, and those closures in
-    the order of `checked`, each made the first time a child needs it and
-    kept for its siblings; so no child costs more `propagate` calls than
-    the direct test.
+    `node` is `[clauses, made, inside]`: the prefix clauses, `g`
+    included, the number of those closures made, in the order of `checked`
+    and each when a first child needs it, and their intersection.  A child
+    outside `inside` misses a closure already made, and fails with no
+    `propagate` call, as the test closure by closure would; a child inside
+    it makes the next closures, one `propagate` each, until one misses it.
+    So no child costs more `propagate` calls than the direct test.
     """
-    clauses, closures = node
-    for i, other in enumerate(checked):
-        if i == len(closures):
-            closures.append(propagate(clauses, other | later)[0])
-        if option & ~closures[i]:
-            return False
-    return True
+    clauses, made, inside = node
+    while not option & ~inside:
+        if made == len(checked):
+            return True
+        inside &= propagate(clauses, checked[made] | later)[0]
+        made += 1
+        node[1:] = made, inside
+    return False
 
 
 def check_accept(state: ReconstructionState, body: int,
@@ -382,15 +385,14 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     `trace.accepted`) or the first one past the budget.
 
     A candidate assigns one option to every head, as a tuple of body
-    masks.  The walk is depth-first over a stack of prefixes that starts
-    at `()`: heads in order and each head's options in order, which is
-    canonical order for `head_options` over heads in ascending id and pool
-    bodies in canonical body order.  With no heads `()` is the one
-    candidate.  The walk keeps the budget, counts, and runs filters 1 and 3
-    and `check_accept`.  It settles the candidates extending a proper
-    prefix as one block when a check shows that filter 1 or filter 3
-    rejects every one of them, and counts the whole block toward that
-    filter.
+    masks.  The walk is depth-first from the prefix `()`: heads in order
+    and each head's options in order, which is canonical order for
+    `head_options` over heads in ascending id and pool bodies in canonical
+    body order.  With no heads `()` is the one candidate.  The walk keeps
+    the budget, counts, and runs filters 1 and 3 and `check_accept`.  It
+    settles the candidates extending a proper prefix as one block when a
+    check shows that filter 1 or filter 3 rejects every one of them, and
+    counts the whole block toward that filter.
 
     It reads no switch: with filter 1 off `need` is 0, so nothing is
     missing and filter 1 passes, and with filter 3 off it has no pool
@@ -424,11 +426,20 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     A prefix that passed filter 3 gives filter 3's verdict for each of its
     children, whole or not, from its closures, one `propagate` per pool body
     at most (`child_rcn_equality`; the proof is in `filter_rcn_equality`).
-    The walk keeps them per depth, in `nodes[d + 1]` for the node it last
-    expanded at depth `d`: every pending entry at depth `d + 1` is a child
-    of that node, as the stack holds the siblings of each prefix on the
-    path to the top.  The children of a prefix that was not checked, on
-    the first descent or over the budget, get the direct test.
+    The children of a prefix that was not checked, on the first descent or
+    over the budget, get the direct test.
+
+    The walk keeps one entry per depth `d`, for the open prefix of length
+    `d` on the path from `()`: the cursor over the next head's options,
+    the prefix, the union of its bodies, its clauses with `g`, and its node
+    for `child_rcn_equality`, or None where it was not checked.  Each child
+    is decided at its parent, from the parent's entry and the child's
+    option: filter 1 at a proper prefix is one mask test, filter 3 is
+    `child_rcn_equality` on the parent's node or the direct test, and a
+    child's clause list is built only where the direct test,
+    `check_accept` or an opened prefix needs it.  A proper prefix that
+    passes is opened at the next depth; its node serves all its children,
+    and goes with its entry.
 
     No proper prefix is checked before the first candidate is tested, and
     the tables (`_tables`) are built at the first such check: most
@@ -437,53 +448,66 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     candidate costs (filters 1 and 3 and `check_accept`).
     """
     hits = trace.filter_hits
-    supply = None
-    nodes: list[Optional[tuple[list[tuple[int, int]], list[int]]]] = []
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        d = len(prefix)
-        parent = nodes[d] if nodes else None
-        if d == len(head_ids):
-            if budget is not None and trace.candidates_tested >= budget:
-                yield prefix
-                return
-            trace.candidates_tested += 1
-            if not filter_body_coverage(need, prefix):
-                hits["body_coverage"] += 1
+    if not head_ids:
+        trace.candidates_tested += 1
+        if not filter_body_coverage(need, ()):
+            hits["body_coverage"] += 1
+        elif not filter_rcn_equality(state, body, state.g, checked):
+            hits["consequence_equality"] += 1
+        elif check_accept(state, body, state.g):
+            trace.accepted = ()
+            yield ()
+        return
+    last, supply = len(head_ids) - 1, None
+    frames: list = [(iter(per_head[0]), (), 0, state.g, None)] + [None] * last
+    d = 0
+    while d >= 0:
+        options, prefix, used, base, parent = frames[d]
+        h = head_ids[d]
+        for b in options:
+            if d == last:
+                candidate = prefix + (b,)
+                if budget is not None and trace.candidates_tested >= budget:
+                    yield candidate
+                    return
+                trace.candidates_tested += 1
+                if not filter_body_coverage(need, candidate):
+                    hits["body_coverage"] += 1
+                elif not (filter_rcn_equality(state, body, base + [(h, b)],
+                                              checked) if parent is None
+                          else child_rcn_equality(parent, b, checked, 0)):
+                    hits["consequence_equality"] += 1
+                elif check_accept(state, body, base + [(h, b)]):
+                    trace.accepted = tuple(map(Clause, head_ids, candidate))
+                    yield candidate
+                    return
                 continue
-            clauses = state.g + list(zip(head_ids, prefix))
-            if not (filter_rcn_equality(state, body, clauses, checked)
-                    if parent is None else child_rcn_equality(
-                        parent, prefix[-1], checked, 0)):
-                hits["consequence_equality"] += 1
-            elif check_accept(state, body, clauses):
-                trace.accepted = tuple(map(Clause, head_ids, prefix))
-                yield prefix
-                return
-            continue
-        if trace.candidates_tested:
-            if supply is None:
-                leaves, later, supply = _tables(head_ids, per_head)
-                nodes = [None] * (len(head_ids) + 1)
-            block = leaves[d]
-            node = None
-            if budget is None or trace.candidates_tested + block <= budget:
-                if need & ~union(prefix) & ~supply[d]:
-                    rejected_by = "body_coverage"
-                else:
-                    node = (state.g + list(zip(head_ids, prefix)), [])
-                    passes = (filter_rcn_equality(state, body, node[0],
-                                                  checked, later[d])
+            passed = False
+            if trace.candidates_tested:
+                if supply is None:
+                    leaves, later, supply = _tables(head_ids, per_head)
+                block = leaves[d + 1]
+                if budget is None or trace.candidates_tested + block <= budget:
+                    if need & ~(used | b) & ~supply[d + 1]:
+                        rejected_by = "body_coverage"
+                    elif not (filter_rcn_equality(state, body, base + [(h, b)],
+                                                  checked, later[d + 1])
                               if parent is None else child_rcn_equality(
-                                  parent, prefix[-1], checked, later[d]))
-                    rejected_by = None if passes else "consequence_equality"
-                if rejected_by:
-                    trace.candidates_tested += block
-                    hits[rejected_by] += block
-                    continue
-            nodes[d + 1] = node
-        stack.extend([prefix + (b,) for b in reversed(per_head[d])])
+                                  parent, b, checked, later[d + 1])):
+                        rejected_by = "consequence_equality"
+                    else:
+                        passed = True
+                    if not passed:
+                        trace.candidates_tested += block
+                        hits[rejected_by] += block
+                        continue
+            clauses = base + [(h, b)]
+            d += 1
+            frames[d] = (iter(per_head[d]), prefix + (b,), used | b, clauses,
+                         [clauses, 0, -1] if passed else None)
+            break
+        else:
+            d -= 1
 
 
 def run_iteration(state: ReconstructionState, body: int, options: Options

@@ -15,6 +15,10 @@ forward-checks with the shipped `propagate` over the partial assignment
 plus every minimal option of the later variables listed as a clause,
 `product_order_search`, the earlier candidate loop, runs the shipped
 filters and `check_accept` on every candidate one by one,
+`stack_enumerate_candidates`, the earlier walk, pops prefixes off a
+stack, checks each one as it pops it and keeps filter 3's closures per
+node in a list (`closure_list_child_rcn_equality`), with the shipped
+filters, `_tables` and `check_accept`,
 `closure_rest_need`, the earlier pre-check of filter 1, builds the whole
 `rest` closure with the shipped `_hclose`, and `listed_rcn_equality`,
 the earlier forward check of filter 3, runs the shipped `propagate` over
@@ -43,7 +47,7 @@ from singlehead.formula import (Clause, Formula, ParseError, _expand_item,
                                 clause_key, parse_variables, propagate,
                                 union)
 from singlehead.oracle import UniverseTooLarge
-from singlehead.reconstruct import (FILTER_NAMES, IterationTrace,
+from singlehead.reconstruct import (FILTER_NAMES, IterationTrace, _tables,
                                     candidate_space, check_accept,
                                     compute_heads,
                                     filter_body_coverage, filter_maxit,
@@ -272,6 +276,78 @@ def completion_covering(per_head):
         return memo[key]
 
     return covering
+
+
+def closure_list_child_rcn_equality(node, option: int, checked,
+                                    later: int) -> bool:
+    """Filter 3 on a child of a checked prefix from the prefix's closures,
+    kept as a list in `node = (clauses, closures)`: each closure made the
+    first time a child reaches it, and the child tested against each in
+    turn."""
+    clauses, closures = node
+    for i, other in enumerate(checked):
+        if i == len(closures):
+            closures.append(propagate(clauses, other | later)[0])
+        if option & ~closures[i]:
+            return False
+    return True
+
+
+def stack_enumerate_candidates(state, body: int, trace, head_ids, per_head,
+                               budget, need: int, checked):
+    """The walk over a stack of prefixes that starts at `()`: each popped
+    prefix is checked as it is popped, and its node is kept in
+    `nodes[d + 1]` for the children it pushes.  Same arguments and yields
+    as `enumerate_candidates`."""
+    hits = trace.filter_hits
+    supply = None
+    nodes = []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        d = len(prefix)
+        parent = nodes[d] if nodes else None
+        if d == len(head_ids):
+            if budget is not None and trace.candidates_tested >= budget:
+                yield prefix
+                return
+            trace.candidates_tested += 1
+            if not filter_body_coverage(need, prefix):
+                hits["body_coverage"] += 1
+                continue
+            clauses = state.g + list(zip(head_ids, prefix))
+            if not (filter_rcn_equality(state, body, clauses, checked)
+                    if parent is None else closure_list_child_rcn_equality(
+                        parent, prefix[-1], checked, 0)):
+                hits["consequence_equality"] += 1
+            elif check_accept(state, body, clauses):
+                trace.accepted = tuple(map(Clause, head_ids, prefix))
+                yield prefix
+                return
+            continue
+        if trace.candidates_tested:
+            if supply is None:
+                leaves, later, supply = _tables(head_ids, per_head)
+                nodes = [None] * (len(head_ids) + 1)
+            block = leaves[d]
+            node = None
+            if budget is None or trace.candidates_tested + block <= budget:
+                if need & ~union(prefix) & ~supply[d]:
+                    rejected_by = "body_coverage"
+                else:
+                    node = (state.g + list(zip(head_ids, prefix)), [])
+                    passes = (filter_rcn_equality(state, body, node[0],
+                                                  checked, later[d])
+                              if parent is None else
+                              closure_list_child_rcn_equality(
+                                  parent, prefix[-1], checked, later[d]))
+                    rejected_by = None if passes else "consequence_equality"
+                if rejected_by:
+                    trace.candidates_tested += block
+                    hits[rejected_by] += block
+                    continue
+            nodes[d + 1] = node
+        stack.extend([prefix + (b,) for b in reversed(per_head[d])])
 
 
 def product_order_search(state, body: int, options):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from conftest import PADDED_PRODUCT, PRODUCT, formulas, renamed, ring
 from helpers import (closure_equality_accept, closure_rest_need,
                      completion_covering, listed_rcn_equality, naive_bcn,
                      naive_body_equiv, naive_body_lt, product_order_search,
-                     stack_hclose, ucl_entailment_accept)
+                     stack_enumerate_candidates, stack_hclose,
+                     ucl_entailment_accept)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, Universe, analyze_body,
@@ -42,6 +44,14 @@ RING_8 = ["ab=bc", "bc=cd", "cd=de", "de=ef", "ef=fg", "fg=gh", "gh=ha"]
 # two rings of four tied by one equivalence
 JOINED_RINGS = ["ab=bc", "bc=cd", "cd=da", "ef=fg", "fg=gh", "gh=he",
                 "da=eh"]
+
+
+def star(n):
+    """`n` variables, each equivalent to the first: one iteration of
+    `n - 1` heads with `n - 1` options each."""
+    u = Universe(f"v{i:02d}" for i in range(n))
+    return Formula(u, [Clause(i, 1) for i in range(1, n)]
+                   + [Clause(0, 1 << i) for i in range(1, n)])
 
 
 def pending_bodies(state):
@@ -517,9 +527,7 @@ class TestSearchWork:
         # heads with 23 options each.  Counting the completions that cover
         # what filter 1 misses took time exponential in the heads (over 6 s
         # at 18 variables); the supply test settles a block by one mask
-        u = Universe(f"v{i:02d}" for i in range(24))
-        f = Formula(u, [Clause(i, 1) for i in range(1, 24)]
-                    + [Clause(0, 1 << i) for i in range(1, 24)])
+        f = star(24)
         out, calls = self._calls(monkeypatch, f)
         assert out.verdict == "single-head"
         assert formulas_equivalent(out.formula, f)
@@ -530,6 +538,18 @@ class TestSearchWork:
             "consequence_equality": 992_253_644_620_871_852_872_243_298_433}
         assert calls == {"filter_rcn_equality": 442,
                          "child_rcn_equality": 252, "propagate": 1900}
+
+    def test_ring_pair(self, monkeypatch):
+        # two rings that one equivalence ties and that have no single-head
+        # equivalent: the walk exhausts the one iteration that fails
+        out, calls = self._calls(monkeypatch, parse_formula(RING_PAIR))
+        assert (out.verdict, out.reason, out.report.candidates_tested) \
+            == ("not-single-head", "exhausted", 4096)
+        assert out.report.filter_hits == {
+            "body_coverage": 12, "head_reachability": 0,
+            "consequence_equality": 4084}
+        assert calls == {"filter_rcn_equality": 13,
+                         "child_rcn_equality": 576, "propagate": 667}
 
     def test_closure_work(self, monkeypatch):
         # with a stack and every resolvent pushed, the pool closure made
@@ -1090,6 +1110,77 @@ class TestBlockSettling:
         out = reconstruct(f, Options(budget=budget))
         assert out.report.iterations[-1].candidates_tested == budget
         assert isinstance(out, Inconclusive) == (budget not in (4096, 4856))
+
+
+class TestStackWalkReference:
+    """The walk against the stack walk it replaced
+    (`stack_enumerate_candidates`), at every iteration that `reconstruct`
+    reaches: the same yield, count, filter hits and accepted candidate,
+    from the same filter 3 checks, direct and from a checked prefix's
+    closures, and the same `propagate` calls."""
+
+    @staticmethod
+    def _compare(monkeypatch, stops):
+        walk, calls = RECONSTRUCT.enumerate_candidates, collections.Counter()
+
+        def counted(name, original):
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            return counting
+
+        for module, cached in ((RECONSTRUCT, "child_rcn_equality"),
+                               (helpers, "closure_list_child_rcn_equality")):
+            for key, name in (("direct", "filter_rcn_equality"),
+                              ("cached", cached), ("propagate", "propagate")):
+                monkeypatch.setattr(module, name,
+                                    counted(key, getattr(module, name)))
+
+        def compared(state, body, trace, *args):
+            reference = dataclasses.replace(
+                trace, filter_hits=dict(trace.filter_hits))
+            calls.clear()
+            want = next(stack_enumerate_candidates(
+                state, body, reference, *args), None)
+            want_calls = calls.copy()
+            calls.clear()
+            got = next(walk(state, body, trace, *args), None)
+            assert (got, trace, calls) == (want, reference, want_calls), \
+                (formula_items(state.formula), body, args[2:])
+            stops["accepted" if trace.accepted is not None
+                  else "exhausted" if got is None else "budget"] += 1
+            if got is not None:
+                yield got
+
+        monkeypatch.setattr(RECONSTRUCT, "enumerate_candidates", compared)
+
+    def test_sampled_formulas(self, monkeypatch):
+        stops = collections.Counter()
+        self._compare(monkeypatch, stops)
+        for n in range(4, 8):
+            sampled = list(sample_formulas(n, 40, n + 4, 2, seed=2800 + n))
+            for budget in (None, 7, 50):
+                for options in _switch_combinations(budget):
+                    for f in sampled:
+                        reconstruct(f, options)
+        # 13,892 accepted, 1,198 exhausted and 322 past the budget
+        assert stops["accepted"] > 10000 and stops["exhausted"] > 1000
+        assert stops["budget"] > 300
+
+    def test_rings(self, monkeypatch):
+        stops = collections.Counter()
+        self._compare(monkeypatch, stops)
+        for n in range(5, 9):
+            out = reconstruct(parse_formula(ring(list("abcdefgh"[:n]))))
+            assert isinstance(out, Success)
+        assert isinstance(reconstruct(parse_formula(RING_PAIR)),
+                          NotSingleHead)
+        assert isinstance(reconstruct(star(24)), Success)
+        for budget in (1_000, 12_345, 77_777, 200_000):
+            out = reconstruct(parse_formula(JOINED_RINGS),
+                              Options(budget=budget))
+            assert isinstance(out, Inconclusive)
+        assert stops["budget"] == 4 and stops["exhausted"] == 1
 
 
 class TestBudget:
