@@ -9,10 +9,11 @@ clauses plus every option of every later variable fail to entail the
 input.  A later variable has an option that fires from a set exactly
 when it lies in the set's closure under the input, so the check reads
 the later variables off the table of every body's closure, one lookup
-per step.  Entailment is monotone in the clause set, and the complete
-assignments are reached in `itertools.product` order, so the witness is
-the one a scan of every assignment finds first.  The search stays
-exponential, so it is guarded to small universes.
+per step.  Each node decides every option of its variable from one such
+closure per input body.  Entailment is monotone in the clause set, and
+the complete assignments are reached in `itertools.product` order, so
+the witness is the one a scan of every assignment finds first.  The
+search stays exponential, so it is guarded to small universes.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def brute_force_single_head_equivalent(
     equivalent, so a variable's options are the bodies whose closure under
     the input holds it and they do not: one pass over `entailed`, the
     closure of every body (`_closure_table`), in canonical body order.  The
-    search assigns the variables in ascending id, each over its options in
-    order (no clause first), depth-first.  It keeps a partial assignment of
-    the variables up to `v` only if its clauses plus every option of every
-    variable after `v` entail every input clause (the forward check); a
-    complete assignment is accepted by the same test with nothing left to
+    search assigns the variables in ascending id, each over no clause and
+    then its options in order, depth-first.  It keeps a partial assignment
+    of the variables up to `v` only if its clauses plus every option of
+    every variable after `v` entail every input clause (the forward check);
+    a complete assignment is accepted by the same test with nothing left to
     add.
 
     The options of the later variables `L` enter by a lookup.  For a set
@@ -60,9 +61,26 @@ def brute_force_single_head_equivalent(
     `entailed[o]`, a subset of `entailed[X]`.  So the closure under the
     partial assignment plus the later options is the least fixpoint of
     `X |= entailed[X] & L` and forward chaining over the assignment, which
-    `_covers_input` computes.  The root needs no check of its own: with
-    `L` holding every variable, the closure from an input body `B` is
+    `_closure` computes.  The root needs no check of its own: with `L`
+    holding every variable, the closure from an input body `B` is
     `entailed[B]`, which holds every head of `B` in the input.
+
+    A node decides every option of its variable `v` at once
+    (`_option_mask`), from one closure per input body.  Let `Z` be the
+    closure of an input body `B`, with heads `H`, under the node's
+    assignment plus the options of the variables after `v`, and `P` the
+    same closure with the options of `v` too.  The node passed its forward
+    check, or is the root, so `P` holds `H`.  If `Z` holds `H`, every
+    option passes at `B`, by monotonicity.  Otherwise no clause fails at
+    `B`, and an option body `b` passes at `B` exactly when it lies in `Z`.
+    For `Z` is a fixpoint of the node's clauses and the later options, and
+    it misses `v`: holding `v`, it would be closed under `v`'s options too
+    and hold `P`.  So the clause of a `b` outside `Z` does not fire, and
+    the closure stays `Z`; the clause of a `b` inside `Z` fires, and the
+    closure then holds `v`, so it is closed under `v`'s options and holds
+    `P`.  An option passes when its body lies in every open body's `Z`,
+    and the search visits the nodes of one forward check per option, in
+    the same order.
 
     The witness is the one a scan of every assignment in
     `itertools.product` order finds first.  Entailment is monotone in the
@@ -76,7 +94,7 @@ def brute_force_single_head_equivalent(
         raise UniverseTooLarge(
             f"{n} variables; exhaustive search is guarded to {max_vars}")
     entailed = _closure_table(f.clauses, n)
-    options: list[list[Optional[int]]] = [[None] for _ in range(n)]
+    options: list[list[int]] = [[] for _ in range(n)]
     for body in sorted(range(1 << n), key=bit_ids):
         for v in bit_ids(entailed[body] & ~body):
             options[v].append(body)
@@ -86,11 +104,14 @@ def brute_force_single_head_equivalent(
                ) -> Optional[tuple[Clause, ...]]:
         if v == n:
             return chosen
-        later = (1 << n) - (2 << v)
+        fit = _option_mask(chosen, required, entailed, (1 << n) - (2 << v))
+        if fit == -1:
+            found = search(v + 1, chosen)
+            if found is not None:
+                return found
         for body in options[v]:
-            trial = chosen if body is None else chosen + (Clause(v, body),)
-            if _covers_input(trial, required, entailed, later):
-                found = search(v + 1, trial)
+            if not body & ~fit:
+                found = search(v + 1, chosen + (Clause(v, body),))
                 if found is not None:
                     return found
         return None
@@ -123,24 +144,46 @@ def _required(f: Formula) -> dict[int, int]:
     return required
 
 
-def _covers_input(clauses: Sequence[Clause], required: dict[int, int],
-                  entailed: Sequence[int] = (), later: int = 0) -> bool:
-    """`clauses` plus every option of the variables of `later` entail
-    every clause of a `_required` table; with `later` empty, `clauses`
-    alone do.
+def _closure(clauses: Sequence[Clause], seed: int, heads: int,
+             entailed: Sequence[int] = (), later: int = 0) -> int:
+    """The closure of `seed` under `clauses` plus every option of the
+    variables of `later`, or a part of it that holds `heads`.
 
-    From each body it alternates forward chaining over `clauses` with
-    adding the variables of `later` in the closure table `entailed`, and
-    stops once the body's heads are in or a step adds nothing.
+    It alternates forward chaining over `clauses` with adding the
+    variables of `later` in the closure table `entailed`, and stops once
+    `heads` are in or a step adds nothing.
     """
+    closure = propagate(clauses, seed)[0]
+    while heads & ~closure:
+        grown = later and entailed[closure] & later & ~closure
+        if not grown:
+            break
+        closure = propagate(clauses, closure | grown)[0]
+    return closure
+
+
+def _covers_input(clauses: Sequence[Clause], required: dict[int, int]
+                  ) -> bool:
+    """`clauses` entail every clause of a `_required` table."""
+    return all(not heads & ~_closure(clauses, body, heads)
+               for body, heads in required.items())
+
+
+def _option_mask(chosen: Sequence[Clause], required: dict[int, int],
+                 entailed: Sequence[int], later: int) -> int:
+    """The node's option mask: an option of its variable passes the
+    forward check after `chosen`, with the options of the variables of
+    `later`, exactly when its body lies in the mask.  It is the
+    intersection of the closures that miss their input body's heads, or
+    -1 when none does, and then no clause passes too.  The argument is in
+    `brute_force_single_head_equivalent`'s docstring.
+    """
+    fit = -1
     for body, heads in required.items():
-        closure = propagate(clauses, body)[0]
-        while heads & ~closure:
-            grown = later and entailed[closure] & later & ~closure
-            if not grown:
-                return False
-            closure = propagate(clauses, closure | grown)[0]
-    return True
+        reached = _closure(chosen, body, heads, entailed, later)
+        if heads & ~reached:
+            fit &= reached
+    return fit
 
 
 def clause_pool(nvars: int, max_body: int) -> list[Clause]:

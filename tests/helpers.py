@@ -185,7 +185,8 @@ def listed_later_oracle(f: Formula, max_vars: int):
     whose body holds no other option body of the same variable, and the
     forward check runs the shipped `propagate` over the partial assignment
     plus `later[v + 1]`.  Returns the first equivalent single-head formula
-    or None, and the number of forward checks made."""
+    or None, the number of forward checks made, and the number of them
+    that passed."""
     n = len(f.universe)
     if n > max_vars:
         raise UniverseTooLarge(f"{n} variables; guarded to {max_vars}")
@@ -203,13 +204,15 @@ def listed_later_oracle(f: Formula, max_vars: int):
         later[v] = tuple(Clause(v, body) for body in bodies
                          if not any(o & body == o != body for o in bodies)
                          ) + later[v + 1]
-    checks = 0
+    checks = passes = 0
 
     def covers(clauses) -> bool:
-        nonlocal checks
+        nonlocal checks, passes
         checks += 1
-        return all(not heads & ~propagate(clauses, body)[0]
-                   for body, heads in required.items())
+        passed = all(not heads & ~propagate(clauses, body)[0]
+                     for body, heads in required.items())
+        passes += passed
+        return passed
 
     def search(v, chosen):
         if v == n:
@@ -224,7 +227,7 @@ def listed_later_oracle(f: Formula, max_vars: int):
 
     clauses = search(0, ())
     return (None if clauses is None else Formula(f.universe, clauses)), \
-        checks
+        checks, passes
 
 
 def closure_rest_need(state, body: int) -> int:

@@ -84,23 +84,23 @@ class TestBruteForce:
             assert reconstruct(f).verdict == expected
 
     def test_search_is_pruned(self, monkeypatch):
-        # One forward check per node tried, over criterion 4's draw: a
-        # search that prunes less makes more of them.  38534 while the
-        # root had a check of its own, one per call.  The check takes the
-        # closure table and the later variables too, so the wrapper passes
-        # on whatever it is given.
-        calls = 0
-        covers = oracle._covers_input
+        # The search's nodes over criterion 4's draw: a search that prunes
+        # less visits more of them.  Each inner node decides its variable's
+        # options once and only the witness reaches a leaf, so the nodes are
+        # the decisions plus the witnesses: the 1000 roots and one per
+        # option that passes its forward check, 6323 of the 37534 tried.
+        calls = witnesses = 0
+        decide = oracle._option_mask
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return covers(*args)
+            return decide(*args)
 
-        monkeypatch.setattr(oracle, "_covers_input", counted)
+        monkeypatch.setattr(oracle, "_option_mask", counted)
         for f in sample_formulas(5, 1000, 6, 2, seed=20260810):
-            brute_force_single_head_equivalent(f)
-        assert calls == 37534
+            witnesses += brute_force_single_head_equivalent(f) is not None
+        assert calls + witnesses == 7323
 
 
 class TestProductOrderWitness:
@@ -126,39 +126,99 @@ class TestProductOrderWitness:
 
 
 def counted_oracle(f: Formula, max_vars: int):
-    """The package oracle's witness and its number of forward checks."""
-    covers = oracle._covers_input
+    """The package oracle's witness and its number of nodes below the
+    root: one per option decision at an inner node, plus the leaf that
+    the witness is, less the root."""
+    decide = oracle._option_mask
     calls = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return covers(*args)
+        return decide(*args)
 
-    with mock.patch.object(oracle, "_covers_input", counted):
+    with mock.patch.object(oracle, "_option_mask", counted):
         witness = brute_force_single_head_equivalent(f, max_vars=max_vars)
-    return witness, calls
+    return witness, calls + (witness is not None) - 1
+
+
+def listed_later_nodes(f: Formula, max_vars: int):
+    """The reference's witness and its number of nodes below the root: one
+    per passing forward check."""
+    witness, _, passes = listed_later_oracle(f, max_vars)
+    return witness, passes
 
 
 class TestListedLaterReference:
-    """The forward check by closure table keeps the search of the listed
-    later options node for node: the same witness after the same number
-    of forward checks."""
+    """Deciding each node's options at once keeps the search of the listed
+    later options node for node: the same witness after the same number of
+    nodes."""
 
     @pytest.mark.parametrize("nvars,count,seed", [
         (3, 200, 2503), (4, 200, 2504), (5, 120, 2505), (6, 40, 2506)])
     def test_random_draws(self, nvars, count, seed):
         for f in sample_formulas(nvars, count, nvars + 1, 2, seed=seed):
-            assert counted_oracle(f, nvars) == listed_later_oracle(f, nvars)
+            assert counted_oracle(f, nvars) == listed_later_nodes(f, nvars)
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(max_vars=5))
     def test_random_formulas(self, f):
-        assert counted_oracle(f, 5) == listed_later_oracle(f, 5)
+        assert counted_oracle(f, 5) == listed_later_nodes(f, 5)
 
     @pytest.mark.parametrize("f", EDGE_CASES, ids=EDGE_IDS)
     def test_edge_cases(self, f):
-        assert counted_oracle(f, 5) == listed_later_oracle(f, 5)
+        assert counted_oracle(f, 5) == listed_later_nodes(f, 5)
+
+
+def forward_check(clauses, required, entailed, later) -> bool:
+    """`clauses` plus every option of the variables of `later` entail
+    every input clause: the search's test of one option."""
+    return all(not heads & ~oracle._closure(clauses, body, heads, entailed,
+                                            later)
+               for body, heads in required.items())
+
+
+class TestOptionMask:
+    """At every node the search reaches, the mask passes exactly the
+    options that pass their own forward check: no clause when the mask is
+    -1, and an option when its body lies in the mask."""
+
+    @staticmethod
+    def check_every_node(f: Formula, max_vars: int):
+        n = len(f.universe)
+        decide = oracle._option_mask
+        nodes = 0
+
+        def checked(chosen, required, entailed, later):
+            nonlocal nodes
+            nodes += 1
+            fit = decide(chosen, required, entailed, later)
+            v = n - 1 - later.bit_count()
+            assert (fit == -1) == forward_check(chosen, required, entailed,
+                                                later)
+            for body in range(1 << n):
+                if (entailed[body] & ~body) >> v & 1:
+                    assert (not body & ~fit) == forward_check(
+                        chosen + (Clause(v, body),), required, entailed,
+                        later)
+            return fit
+
+        with mock.patch.object(oracle, "_option_mask", checked):
+            brute_force_single_head_equivalent(f, max_vars=max_vars)
+        return nodes
+
+    def test_random_draw(self):
+        assert sum(self.check_every_node(f, 6) for f in
+                   sample_formulas(6, 40, 7, 2, seed=2906)) > 40
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_vars=5))
+    def test_random_formulas(self, f):
+        self.check_every_node(f, 5)
+
+    @pytest.mark.parametrize("f", EDGE_CASES, ids=EDGE_IDS)
+    def test_edge_cases(self, f):
+        self.check_every_node(f, 5)
 
 
 class TestClosureTable:
@@ -186,8 +246,9 @@ class TestOracleReach:
     and `reconstruct` agree on random formulas."""
 
     @pytest.mark.parametrize("nvars,max_clauses,seed,count", [
-        (6, 6, 606, 300), (7, 7, 707, 300), (8, 8, 11, 40)],
-        ids=["6-6-606", "7-7-707", "8-8-11"])
+        (6, 6, 606, 300), (7, 7, 707, 300), (8, 8, 11, 40),
+        (8, 8, 808, 300)],
+        ids=["6-6-606", "7-7-707", "8-8-11", "8-8-808"])
     def test_agrees_with_reconstruction(self, nvars, max_clauses, seed,
                                         count):
         for f in sample_formulas(nvars, count, max_clauses, 2, seed=seed):
