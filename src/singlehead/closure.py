@@ -22,7 +22,7 @@ from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .formula import Clause, bit_ids, propagate
+from .formula import Clause, bit_ids, minimal_masks, propagate
 
 
 class _Kept:
@@ -146,9 +146,9 @@ def _minbodies(candidates: Iterable[Clause],
     `reach[b]`.  So two bodies are in one class exactly when their closures
     are equal, and a class is a sink exactly when no other body's closure
     is a strict subset of its closure.  Keeping the canonical-first body of
-    each closure that has no distinct closure strictly below it is the
-    reduction above.  A head's only body is its own class, and a sink, so
-    it is kept without computing its closure.
+    each distinct closure with none strictly inside it (`minimal_masks`)
+    is the reduction above.  A head's only body is its own class, and a
+    sink, so it is kept without computing its closure.
     """
     by_head: dict[int, set[int]] = defaultdict(set)
     for c in candidates:
@@ -161,7 +161,6 @@ def _minbodies(candidates: Iterable[Clause],
         first: dict[int, int] = {}     # closure -> its canonical-first body
         for b in sorted(bodies, key=bit_ids):
             first.setdefault(propagate(context, b)[0], b)
-        for reach, b in first.items():
-            if not any(o != reach and not o & ~reach for o in first):
-                kept.add(Clause(head, b))
+        kept.update(Clause(head, first[reach])
+                    for reach in minimal_masks(first))
     return frozenset(kept)

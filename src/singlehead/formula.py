@@ -75,6 +75,26 @@ def union(masks: Iterable[int]) -> int:
     return reduce(or_, masks, 0)
 
 
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct masks of `masks` with no other of them strictly inside,
+    in order of first appearance.  A mask with a kept one inside it, itself
+    included, is skipped; any other evicts the kept masks around it and
+    is appended.  Each step scans the kept masks only, and copies them
+    only to evict."""
+    kept: list[int] = []
+    for m in masks:
+        for k in kept:
+            if not k & ~m:
+                break
+        else:
+            for k in kept:
+                if not m & ~k:
+                    kept = [k for k in kept if m & ~k]
+                    break
+            kept.append(m)
+    return kept
+
+
 def clause_key(clause: Clause) -> tuple:
     """Canonical clause order: head id, then body as an id sequence."""
     return (clause.head, bit_ids(clause.body))

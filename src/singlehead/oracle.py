@@ -9,11 +9,11 @@ clauses plus every option of every later variable fail to entail the
 input.  A later variable has an option that fires from a set exactly
 when it lies in the set's closure under the input, so the check reads
 the later variables off the table of every body's closure, one lookup
-per step.  Each node decides every option of its variable from one such
-closure per input body.  Entailment is monotone in the clause set, and
-the complete assignments are reached in `itertools.product` order, so
-the witness is the one a scan of every assignment finds first.  The
-search stays exponential, so it is guarded to small universes.
+per step.  Each node decides every option of its variable from at most
+one such closure per input body.  Entailment is monotone in the clause
+set, and the complete assignments are reached in `itertools.product`
+order, so the witness is the one a scan of every assignment finds first.
+The search stays exponential, so it is guarded to small universes.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def brute_force_single_head_equivalent(
     `entailed[B]`, which holds every head of `B` in the input.
 
     A node decides every option of its variable `v` at once
-    (`_option_mask`), from one closure per input body.  Let `Z` be the
-    closure of an input body `B`, with heads `H`, under the node's
+    (`_option_mask`), from at most one closure per input body.  Let `Z` be
+    the closure of an input body `B`, with heads `H`, under the node's
     assignment plus the options of the variables after `v`, and `P` the
     same closure with the options of `v` too.  The node passed its forward
     check, or is the root, so `P` holds `H`.  If `Z` holds `H`, every
@@ -104,7 +104,7 @@ def brute_force_single_head_equivalent(
                ) -> Optional[tuple[Clause, ...]]:
         if v == n:
             return chosen
-        fit = _option_mask(chosen, required, entailed, (1 << n) - (2 << v))
+        fit = _option_mask(chosen, required, entailed, v)
         if fit == -1:
             found = search(v + 1, chosen)
             if found is not None:
@@ -170,19 +170,27 @@ def _covers_input(clauses: Sequence[Clause], required: dict[int, int]
 
 
 def _option_mask(chosen: Sequence[Clause], required: dict[int, int],
-                 entailed: Sequence[int], later: int) -> int:
-    """The node's option mask: an option of its variable passes the
-    forward check after `chosen`, with the options of the variables of
-    `later`, exactly when its body lies in the mask.  It is the
-    intersection of the closures that miss their input body's heads, or
-    -1 when none does, and then no clause passes too.  The argument is in
+                 entailed: Sequence[int], v: int) -> int:
+    """The node's option mask: an option of the variable `v` passes the
+    forward check after `chosen`, with the options of the variables after
+    `v`, exactly when its body lies in the mask.  It is the intersection of
+    the closures that miss their input body's heads, or -1 when none does,
+    and then no clause passes too.  The argument is in
     `brute_force_single_head_equivalent`'s docstring.
+
+    It stops at the first mask that admits no option, with no clause
+    failed already: an option body inside the mask has `v` in its closure,
+    so in the mask's (`entailed[fit]`), and the closures left only shrink
+    the mask.
     """
+    later = len(entailed) - (2 << v)    # `entailed` has 2**n entries
     fit = -1
     for body, heads in required.items():
         reached = _closure(chosen, body, heads, entailed, later)
         if heads & ~reached:
             fit &= reached
+            if not entailed[fit] >> v & 1:
+                break
     return fit
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .closure import _hclose, _minbodies
 from .formula import (BodyAnalysis, Clause, Formula, analyze_body, bit_ids,
-                      normalize, propagate, union)
+                      minimal_masks, normalize, propagate, union)
 
 FILTER_NAMES = ("body_coverage", "head_reachability", "consequence_equality")
 
@@ -276,8 +276,19 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
     it has a pool body without it, as the reduction keeps a body for every
     head, and its clause on that body fires.
 
+    The test passes at a seed whenever it passes at a seed inside it,
+    under the same clauses, as forward chaining is monotone in its seed
+    (Dowling & Gallier, JLP 1984).  Take seeds `S` inside `S'`, both
+    inside `bcn`: a body inside the closure of `S` lies inside that of
+    `S'`, so the heads fired from `S` fire from `S'` too, and as fired
+    heads never leave `rcn`, when those from `S`, plus `later`, are `rcn`,
+    so are those from `S'`.  So only the distinct seeds `other | later`
+    with no other strictly inside need a closure (`minimal_masks`): the
+    walk passes the minimal seeds of a depth (`_tables`), which already
+    hold `later`, to the test on a prefix and to `child_rcn_equality`.
+
     A prefix that passed this test decides it for each child from one
-    `propagate` per pool body (`child_rcn_equality`).  Let `C` be the
+    `propagate` per minimal seed (`child_rcn_equality`).  Let `C` be the
     prefix's clauses with `g`, `h` its next head, `later` the heads after
     `h`, and `Y` the closure of `other | later` under `C`.  The child adds
     a clause `(h, b)`, `b` a pool body.  When `b` lies in `Y`, the clause
@@ -287,7 +298,8 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
     clause does not fire, and the test fails: were the heads that `C`
     fires, plus `later`, `rcn`, `Y` would hold `rcn` and `other`, so `bcn`
     and `b`, as above.  So the child passes at `other` exactly when `b`
-    lies in `Y`; for a whole candidate `later` is 0.
+    lies in `Y`; for a whole candidate `later` is 0.  It passes at every
+    seed exactly when it passes at the minimal ones, as above.
     """
     target = state.analyses[body].rcn_mask
     for other in pool_bodies:
@@ -297,27 +309,29 @@ def filter_rcn_equality(state: ReconstructionState, body: int,
     return True
 
 
-def child_rcn_equality(node: list, option: int, checked: Sequence[int],
-                       later: int) -> bool:
-    """`filter_rcn_equality` on a child of a prefix that passed it, with
-    the later heads `later`: the child adds a clause on body `option` to
-    the prefix clauses, and passes exactly when `option` lies in the
-    closure of each pool body of `checked`, plus `later`, under the prefix
-    clauses (the proof is in `filter_rcn_equality`).
+def child_rcn_equality(node: list, option: int, seeds: Sequence[int]
+                       ) -> bool:
+    """`filter_rcn_equality` on a child of a prefix that passed it: the
+    child adds a clause on body `option` to the prefix clauses, and passes
+    exactly when `option` lies in the closure of each seed of `seeds`
+    under the prefix clauses (the proof is in `filter_rcn_equality`).  The
+    seeds are the minimal masks of a pool body plus the heads after the
+    child's (`_tables`), the minimal pool bodies for a whole candidate.
 
     `node` is `[clauses, made, inside]`: the prefix clauses, `g`
-    included, the number of those closures made, in the order of `checked`
+    included, the number of those closures made, in the order of `seeds`
     and each when a first child needs it, and their intersection.  A child
     outside `inside` misses a closure already made, and fails with no
     `propagate` call, as the test closure by closure would; a child inside
     it makes the next closures, one `propagate` each, until one misses it.
-    So no child costs more `propagate` calls than the direct test.
+    So no child costs more `propagate` calls than the direct test over
+    the same seeds.
     """
     clauses, made, inside = node
     while not option & ~inside:
-        if made == len(checked):
+        if made == len(seeds):
             return True
-        inside &= propagate(clauses, checked[made] | later)[0]
+        inside &= propagate(clauses, seeds[made])[0]
         made += 1
         node[1:] = made, inside
     return False
@@ -362,16 +376,21 @@ def apply_iteration(state: ReconstructionState, body: int,
     del state.agenda[state.analyses[body].bcn_mask]
 
 
-def _tables(head_ids: Sequence[int], per_head: Sequence[Sequence[int]]
-            ) -> tuple[list[int], list[int], list[int]]:
+def _tables(head_ids: Sequence[int], per_head: Sequence[Sequence[int]],
+            checked: Sequence[int]
+            ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
     """From each head on: the number of completions (`leaves`), the mask of
-    the heads (`later`) and the union of their options (`supply`)."""
+    the heads (`later`), the union of their options (`supply`), and the
+    seeds that filter 3 closes there (`seeds`): the minimal masks
+    (`minimal_masks`) of a pool body of `checked` plus `later`;
+    `filter_rcn_equality` shows that the others need no closure."""
     leaves, later, supply = [1], [0], [0]
     for h, bodies in zip(reversed(head_ids), reversed(per_head)):
         leaves.insert(0, leaves[0] * len(bodies))
         later.insert(0, later[0] | 1 << h)
         supply.insert(0, supply[0] | union(bodies))
-    return leaves, later, supply
+    seeds = [minimal_masks(o | mask for o in checked) for mask in later]
+    return leaves, later, supply, seeds
 
 
 def enumerate_candidates(state: ReconstructionState, body: int,
@@ -410,7 +429,11 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     left to filter 3 or walked into.  Filter 3
     is run on the prefix clauses with the later heads as a mask, which
     stands for every option of theirs (`filter_rcn_equality`): a superset
-    of each extending candidate's clauses.  The heads that fire from a pool
+    of each extending candidate's clauses.  It closes only the minimal
+    seeds of the depth (`_tables`): the minimal masks of a pool body plus
+    the later heads, or the minimal pool bodies at a whole candidate; a
+    whole candidate under a prefix that was not checked closes every pool
+    body.  The heads that fire from a pool
     body only shrink with the clause set, and never leave `rcn`: a pool
     body lies inside `bcn`, a clause of `g` that fires inside `bcn` is
     entailed by the input and no tautology, so it has its head in `rcn`,
@@ -424,8 +447,9 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     the budget, for `run_iteration` to stop at it.
 
     A prefix that passed filter 3 gives filter 3's verdict for each of its
-    children, whole or not, from its closures, one `propagate` per pool body
-    at most (`child_rcn_equality`; the proof is in `filter_rcn_equality`).
+    children, whole or not, from its closures, one `propagate` per seed of
+    the children's depth at most (`child_rcn_equality`; the proof is in
+    `filter_rcn_equality`).
     The children of a prefix that was not checked, on the first descent or
     over the budget, get the direct test.
 
@@ -442,10 +466,10 @@ def enumerate_candidates(state: ReconstructionState, body: int,
     and goes with its entry.
 
     No proper prefix is checked before the first candidate is tested, and
-    the tables (`_tables`) are built at the first such check: most
-    iterations of small formulas have one head or accept their first
-    candidate, and a check, tables included, costs about what testing a
-    candidate costs (filters 1 and 3 and `check_accept`).
+    the tables (`_tables`), the seeds included, are built at the first
+    such check: most iterations of small formulas have one head or accept
+    their first candidate, and a check, tables included, costs about what
+    testing a candidate costs (filters 1 and 3 and `check_accept`).
     """
     hits = trace.filter_hits
     if not head_ids:
@@ -475,7 +499,7 @@ def enumerate_candidates(state: ReconstructionState, body: int,
                     hits["body_coverage"] += 1
                 elif not (filter_rcn_equality(state, body, base + [(h, b)],
                                               checked) if parent is None
-                          else child_rcn_equality(parent, b, checked, 0)):
+                          else child_rcn_equality(parent, b, seeds[d + 1])):
                     hits["consequence_equality"] += 1
                 elif check_accept(state, body, base + [(h, b)]):
                     trace.accepted = tuple(map(Clause, head_ids, candidate))
@@ -485,15 +509,16 @@ def enumerate_candidates(state: ReconstructionState, body: int,
             passed = False
             if trace.candidates_tested:
                 if supply is None:
-                    leaves, later, supply = _tables(head_ids, per_head)
+                    leaves, later, supply, seeds = _tables(
+                        head_ids, per_head, checked)
                 block = leaves[d + 1]
                 if budget is None or trace.candidates_tested + block <= budget:
                     if need & ~(used | b) & ~supply[d + 1]:
                         rejected_by = "body_coverage"
                     elif not (filter_rcn_equality(state, body, base + [(h, b)],
-                                                  checked, later[d + 1])
+                                                  seeds[d + 1], later[d + 1])
                               if parent is None else child_rcn_equality(
-                                  parent, b, checked, later[d + 1])):
+                                  parent, b, seeds[d + 1])):
                         rejected_by = "consequence_equality"
                     else:
                         passed = True

@@ -300,8 +300,9 @@ def stack_enumerate_candidates(state, body: int, trace, head_ids, per_head,
                                budget, need: int, checked):
     """The walk over a stack of prefixes that starts at `()`: each popped
     prefix is checked as it is popped, and its node is kept in
-    `nodes[d + 1]` for the children it pushes.  Same arguments and yields
-    as `enumerate_candidates`."""
+    `nodes[d + 1]` for the children it pushes.  Filter 3 at a prefix
+    closes each body of `checked` plus the later heads, not only the
+    minimal seeds.  Same arguments and yields as `enumerate_candidates`."""
     hits = trace.filter_hits
     supply = None
     nodes = []
@@ -330,7 +331,8 @@ def stack_enumerate_candidates(state, body: int, trace, head_ids, per_head,
             continue
         if trace.candidates_tested:
             if supply is None:
-                leaves, later, supply = _tables(head_ids, per_head)
+                leaves, later, supply, _ = _tables(head_ids, per_head,
+                                                   checked)
                 nodes = [None] * (len(head_ids) + 1)
             block = leaves[d]
             node = None

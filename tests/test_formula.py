@@ -13,9 +13,9 @@ from helpers import (counting_propagate, naive_bcn,
 from singlehead.formula import (Clause, Formula, ParseError, Universe,
                                 _expand_item, all_bodies, analyze_body,
                                 bit_ids, formula_items,
-                                is_single_head, letters, normalize,
-                                parse_formula, parse_variables, propagate,
-                                union)
+                                is_single_head, letters, minimal_masks,
+                                normalize, parse_formula, parse_variables,
+                                propagate, union)
 from singlehead.oracle import sample_formulas
 
 
@@ -286,6 +286,32 @@ class TestBitIds:
             rng.shuffle(masks)
             assert sorted(masks, key=bit_ids) == \
                 sorted(masks, key=per_bit_ids), n
+
+
+class TestMinimalMasks:
+    """`minimal_masks` against its definition: the output is distinct,
+    no output mask has another input mask strictly inside it, every input
+    mask has an output mask inside it, and the output keeps the order of
+    first appearance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 63), max_size=12),
+           st.lists(st.integers(0, (1 << 300) - 1), max_size=4))
+    def test_definition(self, masks, wide):
+        masks = masks + wide
+        got = minimal_masks(iter(masks))
+        assert len(got) == len(set(got))
+        assert all(not any(o != m and not o & ~m for o in masks)
+                   for m in got)
+        assert all(any(not m & ~o for m in got) for o in masks)
+        assert got == sorted(got, key=masks.index)
+
+    @pytest.mark.parametrize("masks, expected", [
+        ([], []), ([5, 5], [5]), ([0b101, 0b100, 0b001], [0b100, 0b001]),
+        ([0b110, 0b011, 0b010], [0b010]), ([3, 0, 3], [0])],
+        ids=["empty", "repeat", "two-below", "one-below-both", "empty-mask"])
+    def test_cases(self, masks, expected):
+        assert minimal_masks(masks) == expected
 
 
 class TestNormalize:

@@ -441,14 +441,15 @@ class TestReconstruct:
 
 
 def _walks(monkeypatch):
-    """The state and body of the walk (`enumerate_candidates`) in progress,
-    as the last item of the returned list, through a patched walk."""
+    """The state, body, head options and filter 3's pool bodies
+    (`checked`) of the walk (`enumerate_candidates`) in progress, as the
+    last item of the returned list, through a patched walk."""
     walk, walks = RECONSTRUCT.enumerate_candidates, []
 
-    def tracked(state, body, *args):
-        walks.append((state, body))
+    def tracked(state, body, trace, head_ids, per_head, *args):
+        walks.append((state, body, per_head, args[-1]))
         try:
-            yield from walk(state, body, *args)
+            yield from walk(state, body, trace, head_ids, per_head, *args)
         finally:
             walks.pop()
 
@@ -506,12 +507,14 @@ class TestSearchWork:
         # when filter 1 counted the completions that cover, it settled more
         # blocks: ring-8 took 22 direct checks and 149 `propagate` calls,
         # and the joined rings 2,994 cached checks and 2,651 `propagate`
-        # calls, with 110,097 filter 1 and 89,903 filter 3 hits
+        # calls, with 110,097 filter 1 and 89,903 filter 3 hits; closing
+        # every pool body plus the later heads, not only the minimal seeds,
+        # ring-8 took 165 `propagate` calls and the joined rings 2,675
         out, calls = self._calls(monkeypatch, parse_formula(RING_8))
         assert (out.verdict, out.report.candidates_tested) \
             == ("single-head", 67147)
         assert calls == {"filter_rcn_equality": 26, "child_rcn_equality": 21,
-                         "propagate": 165}
+                         "propagate": 63}
         out, calls = self._calls(monkeypatch, parse_formula(JOINED_RINGS),
                                  budget=200_000)
         assert (out.verdict, out.report.candidates_tested) \
@@ -520,13 +523,15 @@ class TestSearchWork:
             "body_coverage": 32, "head_reachability": 0,
             "consequence_equality": 199968}
         assert calls == {"filter_rcn_equality": 38,
-                         "child_rcn_equality": 3240, "propagate": 2675}
+                         "child_rcn_equality": 3240, "propagate": 956}
 
     def test_star(self, monkeypatch):
         # 24 variables, each equivalent to the first: one iteration of 23
         # heads with 23 options each.  Counting the completions that cover
         # what filter 1 misses took time exponential in the heads (over 6 s
-        # at 18 variables); the supply test settles a block by one mask
+        # at 18 variables); the supply test settles a block by one mask.
+        # Closing every pool body plus the later heads took 1,900
+        # `propagate` calls
         f = star(24)
         out, calls = self._calls(monkeypatch, f)
         assert out.verdict == "single-head"
@@ -537,11 +542,13 @@ class TestSearchWork:
             "body_coverage": 1012, "head_reachability": 0,
             "consequence_equality": 992_253_644_620_871_852_872_243_298_433}
         assert calls == {"filter_rcn_equality": 442,
-                         "child_rcn_equality": 252, "propagate": 1900}
+                         "child_rcn_equality": 252, "propagate": 512}
 
     def test_ring_pair(self, monkeypatch):
         # two rings that one equivalence ties and that have no single-head
-        # equivalent: the walk exhausts the one iteration that fails
+        # equivalent: the walk exhausts the one iteration that fails.
+        # Closing every pool body plus the later heads took 667
+        # `propagate` calls
         out, calls = self._calls(monkeypatch, parse_formula(RING_PAIR))
         assert (out.verdict, out.reason, out.report.candidates_tested) \
             == ("not-single-head", "exhausted", 4096)
@@ -549,7 +556,21 @@ class TestSearchWork:
             "body_coverage": 12, "head_reachability": 0,
             "consequence_equality": 4084}
         assert calls == {"filter_rcn_equality": 13,
-                         "child_rcn_equality": 576, "propagate": 667}
+                         "child_rcn_equality": 576, "propagate": 259}
+
+    def test_renamed_ring_9(self, monkeypatch):
+        # one iteration of nine heads, walked under a renaming that puts
+        # its accepted candidate deep in canonical order; closing every
+        # pool body plus the later heads took 146,521 `propagate` calls
+        f = renamed(parse_formula(ring(list("abcdefghi"))), random.Random(103))
+        out, calls = self._calls(monkeypatch, f)
+        assert (out.verdict, out.report.candidates_tested) \
+            == ("single-head", 19_631_972)
+        assert out.report.filter_hits == {
+            "body_coverage": 42, "head_reachability": 0,
+            "consequence_equality": 19_631_929}
+        assert calls == {"filter_rcn_equality": 40,
+                         "child_rcn_equality": 243_294, "propagate": 67_666}
 
     def test_closure_work(self, monkeypatch):
         # with a stack and every resolvent pushed, the pool closure made
@@ -579,7 +600,7 @@ class TestSearchWork:
 
         def measured(clauses, seed):
             if walks:
-                state, body = walks[-1]
+                state, body, _, _ = walks[-1]
                 excess.append(len(clauses) - len(state.g)
                               - compute_heads(state, body).bit_count())
             return original(clauses, seed)
@@ -852,8 +873,10 @@ class TestLaterHeadsAsMask:
 
 class TestChildVerdicts:
     """Each verdict that a child of a checked prefix gets from the
-    prefix's closures (`child_rcn_equality`) against `filter_rcn_equality`
-    on the child's own clauses, with no more `propagate` calls."""
+    prefix's closures over the minimal seeds (`child_rcn_equality`)
+    against `filter_rcn_equality` on the child's own clauses over every
+    pool body with the child's later heads; and no more `propagate` calls
+    than the direct test over the same seeds."""
 
     SETTINGS = [Options()] + [Options().without(name) for name
                               in FILTER_NAMES + ("minbodies",)]
@@ -868,18 +891,25 @@ class TestChildVerdicts:
             counter[0] += 1
             return original(clauses, seed)
 
-        def compared(node, option, checked, later):
-            state, body = walks[-1]
+        def compared(node, option, seeds):
+            state, body, per_head, checked = walks[-1]
             head_ids = bit_ids(compute_heads(state, body))
-            clauses = node[0] + [(head_ids[len(node[0]) - len(state.g)],
-                                  option)]
+            d = len(node[0]) - len(state.g)
+            clauses = node[0] + [(head_ids[d], option)]
+            later = union(1 << h for h in head_ids[d + 1:])
+            # each pool body is an option of the head it is a body of
+            pool_bodies = sorted(set().union(*per_head), key=bit_ids) \
+                if checked else []
             start = counter[0]
-            got = cached(node, option, checked, later)
+            got = cached(node, option, seeds)
             spent = counter[0] - start
-            direct = filter_rcn_equality(state, body, clauses, checked, later)
-            assert got == direct, (clauses, option, later)
+            direct = filter_rcn_equality(state, body, clauses, seeds, later)
             assert spent <= counter[0] - start - spent
+            assert got == direct == filter_rcn_equality(
+                state, body, clauses, pool_bodies, later), \
+                (clauses, option, later)
             outcomes[bool(later), got] += 1
+            outcomes["fewer seeds"] += len(seeds) < len(pool_bodies)
             return got
 
         monkeypatch.setattr(RECONSTRUCT, "propagate", counting)
@@ -901,6 +931,7 @@ class TestChildVerdicts:
         # here pass filter 3 too
         assert outcomes[True, True] > 500 and outcomes[True, False] > 500
         assert outcomes[False, True]
+        assert outcomes["fewer seeds"] > 500
 
     def test_sampled_formulas(self, monkeypatch):
         outcomes = collections.Counter()
@@ -911,6 +942,7 @@ class TestChildVerdicts:
                     reconstruct(f, options)
         assert all(outcomes[later, got] > 100
                    for later in (True, False) for got in (True, False))
+        assert outcomes["fewer seeds"] > 100
 
 
 class TestTables:
@@ -931,17 +963,21 @@ class TestTables:
                                          key=bit_ids)
                     for exclude in (True, False):
                         self._check(head_ids, head_options(
-                            head_ids, pool_bodies, exclude), n, rng, outcomes)
+                            head_ids, pool_bodies, exclude), pool_bodies, n,
+                            rng, outcomes)
         # none, some and all of the completions cover, and a variable
-        # lies outside the options left
+        # lies outside the options left; and the seeds of a depth are
+        # fewer than the pool bodies, and not only by duplicates
         assert all(outcomes[kind] > 100
-                   for kind in ("none", "some", "all", "unsupplied"))
+                   for kind in ("none", "some", "all", "unsupplied",
+                                "fewer seeds", "seed below seed"))
 
     @staticmethod
-    def _check(head_ids, per_head, n, rng, outcomes):
-        leaves, later, supply = _tables(head_ids, per_head)
+    def _check(head_ids, per_head, checked, n, rng, outcomes):
+        leaves, later, supply, seeds = _tables(head_ids, per_head, checked)
         covering = completion_covering(per_head)
-        assert len(leaves) == len(later) == len(supply) == len(head_ids) + 1
+        assert len(leaves) == len(later) == len(supply) == len(seeds) \
+            == len(head_ids) + 1
         for d in range(len(head_ids) + 1):
             supplies = [union(completion) for completion
                         in itertools.product(*per_head[d:])]
@@ -949,6 +985,14 @@ class TestTables:
             assert later[d] == union(1 << h for h in head_ids[d:])
             assert supply[d] == union(union(bodies)
                                            for bodies in per_head[d:])
+            # the seeds: each distinct pool body plus `later` with no
+            # other strictly inside, in order of first appearance
+            masks = [o | later[d] for o in checked]
+            assert seeds[d] == [
+                m for i, m in enumerate(masks) if m not in masks[:i]
+                and not any(o != m and not o & ~m for o in masks)]
+            outcomes["fewer seeds"] += len(seeds[d]) < len(masks)
+            outcomes["seed below seed"] += len(seeds[d]) < len(set(masks))
             for within in (False, True, True):
                 # two thirds of the draws only miss variables the bodies
                 # supply
@@ -1117,7 +1161,9 @@ class TestStackWalkReference:
     (`stack_enumerate_candidates`), at every iteration that `reconstruct`
     reaches: the same yield, count, filter hits and accepted candidate,
     from the same filter 3 checks, direct and from a checked prefix's
-    closures, and the same `propagate` calls."""
+    closures, and no more `propagate` calls: the walk closes only the
+    minimal seeds of each depth, and the stack walk each pool body plus
+    the later heads."""
 
     @staticmethod
     def _compare(monkeypatch, stops):
@@ -1145,6 +1191,10 @@ class TestStackWalkReference:
             want_calls = calls.copy()
             calls.clear()
             got = next(walk(state, body, trace, *args), None)
+            propagated = calls.pop("propagate", 0)
+            want_propagated = want_calls.pop("propagate", 0)
+            assert propagated <= want_propagated
+            stops["fewer closures"] += propagated < want_propagated
             assert (got, trace, calls) == (want, reference, want_calls), \
                 (formula_items(state.formula), body, args[2:])
             stops["accepted" if trace.accepted is not None
@@ -1166,6 +1216,7 @@ class TestStackWalkReference:
         # 13,892 accepted, 1,198 exhausted and 322 past the budget
         assert stops["accepted"] > 10000 and stops["exhausted"] > 1000
         assert stops["budget"] > 300
+        assert stops["fewer closures"] > 500   # 568
 
     def test_rings(self, monkeypatch):
         stops = collections.Counter()
@@ -1181,6 +1232,7 @@ class TestStackWalkReference:
                               Options(budget=budget))
             assert isinstance(out, Inconclusive)
         assert stops["budget"] == 4 and stops["exhausted"] == 1
+        assert stops["fewer closures"] == 10
 
 
 class TestBudget:
