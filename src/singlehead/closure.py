@@ -4,12 +4,15 @@
 body-minimal clause with one of those heads that the clauses entail.  It
 saturates the clauses under resolution restricted to the target heads,
 smallest body first and each resolvent once, with subsumption pruning on
-insert, so the closure never grows past the minimal clauses.  The pruning,
-`_keep`, inserts into an occurrence index (`_Kept`): per head and per
-variable, the bitset of the kept slots with that head or holding that
-variable.  So a kept same-head subset, which refuses an insert, and the
-kept same-head supersets it evicts are each found by one mask test, not by
-a scan of the kept bodies.
+insert, so the closure never grows past the minimal clauses.  A kept
+clause is resolved through an index of the clause bodies by head, one
+lookup per body variable, and a resolvent is not pushed when its side,
+which it contains, was already generated under its head: a kept subset
+would refuse it.  The pruning, `_keep`, inserts into an occurrence index
+(`_Kept`): per head and per variable, the bitset of the kept slots with
+that head or holding that variable.  So a kept same-head subset, which
+refuses an insert, and the kept same-head supersets it evicts are each
+found by one mask test, not by a scan of the kept bodies.
 `_minbodies(candidates, context)` then discards candidate clauses whose
 body already entails another candidate body under the context clauses; it
 groups the bodies by their closure under the context and compares only
@@ -100,32 +103,57 @@ def _hclose(heads_mask: int, clauses: Sequence[Clause]) -> frozenset[Clause]:
     """Saturation for the head-bounded closure, smallest body first.
 
     A heap keyed `(body size, body, head)`, a total order, starts with the
-    non-tautological target-headed clauses.  Each popped clause that `_keep`
-    admits is resolved on each body variable `v` with each clause headed
-    `v`; a non-tautological resolvent is pushed the first time it appears.
-    The output does not depend on the order, but small bodies first get
-    most supersets refused, not kept and later evicted.
+    non-tautological target-headed clauses.  The loop that seeds it also
+    indexes the clauses by head: `sides[bit]` lists the bodies of the
+    clauses whose head has that bit.  Each popped clause that `_keep`
+    admits is resolved on each body variable, peeled bit by bit, with each
+    body in `sides` under that bit; a non-tautological resolvent is
+    recorded in `generated` the first time it appears, and pushed unless
+    the side's own entry under the popped head is already there.  The
+    output does not depend on the order, but small bodies first get most
+    supersets refused, not kept and later evicted.
 
     A refused clause needs no resolving: each of its resolvents contains a
     resolvent of the kept body below it, or that body.  A repeat needs no
     push: a kept clause is evicted only by a strict subset, so once its
     first copy is popped, it or a subset of it stays kept and refuses it.
-    It ends, as each of the finitely many clauses is pushed at most once.
+    A resolvent `new` with the side's entry `(|side|, side, head)` already
+    recorded needs no push either.  By induction on body size, every
+    recorded entry, pushed or not, has a live kept same-head subset once
+    the heap has popped past its size: a pushed one is kept when popped,
+    or refused by such a subset, and eviction only puts a strict subset in
+    a kept clause's place; an unpushed one strictly contains a recorded
+    side, since `new` contains `side` and the side's entry is looked up
+    before `new`'s own is recorded (a resolvent equal to its side finds
+    that entry unrecorded and is pushed).  So `new` would be refused when
+    popped, a refused pop changes no state, and every other pop, in its
+    order, is the same.  It ends, as each of the finitely many clauses is
+    pushed at most once.
     """
     kept = _Kept()
-    generated = {(c.body.bit_count(), c.body, c.head) for c in clauses
-                 if heads_mask >> c.head & 1 and not c.is_tautology()}
+    sides: dict[int, list[int]] = {}
+    generated: set[tuple[int, int, int]] = set()
+    for head, body in clauses:
+        sides.setdefault(1 << head, []).append(body)
+        if heads_mask >> head & 1 and not body >> head & 1:
+            generated.add((body.bit_count(), body, head))
     heap = sorted(generated)    # a sorted list is a heap
     while heap:
         _, body, head = heappop(heap)
         if _keep(kept, Clause(head, body)):
-            for v, side in clauses:
-                if body >> v & 1:
-                    new = body & ~(1 << v) | side
+            rest = body
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                for side in sides.get(bit, ()):
+                    new = body & ~bit | side
+                    if new >> head & 1:
+                        continue
                     entry = (new.bit_count(), new, head)
-                    if not new >> head & 1 and entry not in generated:
+                    if entry not in generated:
+                        if (side.bit_count(), side, head) not in generated:
+                            heappush(heap, entry)
                         generated.add(entry)
-                        heappush(heap, entry)
     return frozenset(kept.live())
 
 

@@ -173,10 +173,14 @@ def candidate_space(state: ReconstructionState, body: int,
     pool body's closure under that union, inside this body's `bcn`, fires
     only clauses of this body's `ucl`.  So the reduction is the one under
     the processed input clauses that fire from this body.
+
+    Under an empty `g` the reduction is the pool itself, so it is not
+    run: every body is its own closure, and the pool keeps no same-head
+    body inside another, so each body is its own sink class.
     """
     heads = compute_heads(state, body)
     pool = _hclose(heads, state.analyses[body].ucl)
-    if not reduce_pool:
+    if not reduce_pool or not state.g:
         return pool, pool
     return pool, _minbodies(pool, state.g)
 

@@ -13,9 +13,9 @@ import helpers
 from conftest import PADDED_PRODUCT, PRODUCT, formulas, renamed, ring
 from helpers import (closure_equality_accept, closure_rest_need,
                      completion_covering, listed_rcn_equality, naive_bcn,
-                     naive_body_equiv, naive_body_lt, product_order_search,
-                     stack_enumerate_candidates, stack_hclose,
-                     ucl_entailment_accept)
+                     naive_body_equiv, naive_body_lt, naive_minbodies,
+                     product_order_search, stack_enumerate_candidates,
+                     stack_hclose, ucl_entailment_accept)
 
 from singlehead.closure import _hclose, _minbodies
 from singlehead.formula import (Clause, Formula, Universe, analyze_body,
@@ -575,13 +575,15 @@ class TestSearchWork:
     def test_closure_work(self, monkeypatch):
         # with a stack and every resolvent pushed, the pool closure made
         # 390 `_keep` calls on ring-8, 510 on the joined rings and 35,801
-        # on the closed product at k=7
+        # on the closed product at k=7; with every first resolvent pushed,
+        # even one that a generated same-head side lies inside, it made
+        # 104 on ring-8, 126 on the joined rings and 9,542 on the product
         closure = importlib.import_module("singlehead.closure")
         keeps = mock.Mock(side_effect=closure._keep)
         monkeypatch.setattr(closure, "_keep", keeps)
         for items, budget, calls, pools in (
-                (RING_8, None, 104, [48]),
-                (JOINED_RINGS, 200_000, 126, [48]),
+                (RING_8, None, 74, [48]),
+                (JOINED_RINGS, 200_000, 96, [48]),
                 (PRODUCT[7] + ["z->q"], None, 9542, [4] * 7 + [4376])):
             keeps.reset_mock()
             out = reconstruct(parse_formula(items), Options(budget=budget))
@@ -638,16 +640,20 @@ class TestSearchWork:
 
 class TestPoolClosureReference:
     """`_hclose` against the stack saturation `stack_hclose` on the pool
-    inputs of every iteration that `reconstruct` runs."""
+    inputs of every iteration that `reconstruct` runs, and the pool that
+    `candidate_space` leaves unreduced under an empty `g` against its
+    reductions under no context clauses."""
 
     def pool_inputs(self, monkeypatch, f, options=Options()):
-        """The `(heads, ucl)` of each iteration's `candidate_space`."""
+        """The `(heads, ucl, g, (pool, reduced))` of each iteration's
+        `candidate_space`: its inputs and what it returned."""
         inputs = []
 
         def spying(state, body, *args):
+            out = candidate_space(state, body, *args)
             inputs.append((compute_heads(state, body),
-                           state.analyses[body].ucl))
-            return candidate_space(state, body, *args)
+                           state.analyses[body].ucl, list(state.g), out))
+            return out
 
         monkeypatch.setattr(RECONSTRUCT, "candidate_space", spying)
         reconstruct(f, options)
@@ -657,14 +663,39 @@ class TestPoolClosureReference:
     def check(self, monkeypatch, f, options=Options()):
         inputs = self.pool_inputs(monkeypatch, f, options)
         assert inputs
-        for heads, ucl in inputs:
+        for heads, ucl, _, _ in inputs:
             assert _hclose(heads, ucl) == stack_hclose(heads, ucl)
+        return self.check_empty_g(inputs, f)
+
+    @staticmethod
+    def check_empty_g(inputs, f):
+        """Each iteration with an empty `g` got its pool as its reduction,
+        which `_minbodies` and `naive_minbodies` give under no context;
+        returns how many such pools give some head two bodies or more."""
+        empty = Formula(f.universe, ())
+        shared = 0
+        for _, _, g, (pool, reduced) in inputs:
+            if not g:
+                assert reduced == pool == _minbodies(pool, []) \
+                    == naive_minbodies(pool, empty)
+                heads = [c.head for c in pool]
+                shared += len(set(heads)) < len(heads)
+        return shared
 
     @pytest.mark.parametrize("items, budget", [
         (RING_7, None), (RING_8, None), (RING_PAIR, None),
         (JOINED_RINGS, 200_000)])
     def test_rings(self, monkeypatch, items, budget):
-        self.check(monkeypatch, parse_formula(items), Options(budget=budget))
+        assert self.check(monkeypatch, parse_formula(items),
+                          Options(budget=budget))
+
+    def test_empty_g_on_samples(self, monkeypatch):
+        shared = 0
+        for n in range(4, 8):
+            for f in sample_formulas(n, 150, n + 3, 3, seed=3300 + n):
+                shared += self.check_empty_g(
+                    self.pool_inputs(monkeypatch, f), f)
+        assert shared > 40
 
     def test_renamed_ring_9(self, monkeypatch):
         # each is decided in its only iteration, so a budget of one
